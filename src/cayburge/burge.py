@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .kernel import BiPoly, compositions
-from .words import AscentSetSpec, Word, enumerate_cayley, is_cayley_word
+from .words import AscentSetSpec, Word, descent_mask, enumerate_cayley, is_cayley_word
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -48,14 +48,6 @@ class BurgeWord(NamedTuple):
         return len(self.u)
 
 
-def _descent_mask(w: Word, strict: bool) -> int:
-    mask = 0
-    for i in range(len(w) - 1):
-        if w[i] > w[i + 1] or (not strict and w[i] == w[i + 1]):
-            mask |= 1 << i
-    return mask
-
-
 def is_burge_word(bw: BurgeWord, binary: bool = False) -> bool:
     u, v = bw
     if len(u) != len(v):
@@ -64,8 +56,8 @@ def is_burge_word(bw: BurgeWord, binary: bool = False) -> bool:
         return False
     if any(a > b for a, b in zip(u, u[1:])):
         return False
-    need = _descent_mask(v, strict=binary)
-    return _descent_mask(u, strict=False) & ~need == 0
+    need = descent_mask(v, strict=binary)
+    return descent_mask(u, strict=False) & ~need == 0
 
 
 def matrix_size(mat: Matrix) -> int:
@@ -139,9 +131,9 @@ def enumerate_burge(n: int, binary: bool = False) -> Iterator[BurgeWord]:
     """All (binary) Burge words of size n; u-major, then v, both lexicographic."""
     if n < 0:
         raise ValueError("enumerate_burge needs n >= 0")
-    cay = [(w, _descent_mask(w, strict=binary)) for w in enumerate_cayley(n)]
+    cay = [(w, descent_mask(w, strict=binary)) for w in enumerate_cayley(n)]
     for u in enumerate_weakly_increasing(n):
-        umask = _descent_mask(u, strict=False)
+        umask = descent_mask(u, strict=False)
         for v, vmask in cay:
             if umask & ~vmask == 0:
                 yield BurgeWord(u, v)

@@ -20,7 +20,6 @@ import csv
 import json
 import os
 import sys
-import urllib.request
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -126,6 +125,17 @@ def _ascent_spec(args, n: int):
     return words.AscentSetSpec(n, positions)
 
 
+def _tail_bound(text: str) -> Fraction:
+    """A --tail-bound value: a fraction in (0, 1/2], such as 1/4."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r} as a fraction") from None
+    if not 0 < value <= Fraction(1, 2):
+        raise argparse.ArgumentTypeError(f"{text} is outside (0, 1/2]")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cayburge",
@@ -169,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=("all",) + tuple(identities.SUITES))
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--max-m", type=int, default=2)
-    p.add_argument("--tail-bound", default="1/2", help="certified tail bound, e.g. 1/4")
+    p.add_argument("--tail-bound", type=_tail_bound, default="1/2", help="tail bound in (0, 1/2]")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oeis", parents=[common], help="compare against a b-file")
@@ -326,11 +336,7 @@ def _cmd_verify(args) -> int:
     if args.max_n < 0 or args.max_m < 0:
         return _fail("--max-n and --max-m must be nonnegative", 2)
     try:
-        Fraction(args.tail_bound)
-    except (ValueError, ZeroDivisionError):
-        return _fail(f"cannot parse --tail-bound {args.tail_bound!r}", 2)
-    try:
-        results = identities.run_suite(args.suite, args.max_n, args.max_m)
+        results = identities.run_suite(args.suite, args.max_n, args.max_m, args.tail_bound)
     except identities.UnconvergedError as exc:
         return _fail(str(exc), 3)
     npass = sum(1 for r in results if r.status == "pass")
@@ -356,7 +362,9 @@ def _cmd_verify(args) -> int:
         print(json.dumps(payload, sort_keys=True))
     else:
         for r in results:
-            line = f"{r.status.upper():<12} {r.name}"
+            # the scalar params are the bounds the check ran at
+            bounds = ", ".join(f"{k}={v}" for k, v in r.params.items() if isinstance(v, (int, str)))
+            line = f"{r.status.upper():<12} {r.name}  [{bounds}]"
             if r.detail:
                 line += f"  ({r.detail})"
             if r.witness is not None:
@@ -420,6 +428,8 @@ def _bfile_text(args) -> str:
         cache_dir.mkdir(parents=True, exist_ok=True)
         cached = cache_dir / f"b{digits}.txt"
         if not cached.exists():
+            import urllib.request  # only --fetch pays for this import
+
             url = f"https://oeis.org/{args.sequence}/b{digits}.txt"
             with urllib.request.urlopen(url, timeout=30) as response:
                 cached.write_bytes(response.read())
@@ -477,7 +487,10 @@ def _cmd_oeis(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error, or --help
+        return exc.code
     return args.func(args)
 
 

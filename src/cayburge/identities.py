@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import burge, lomat, words
 from .kernel import (
@@ -384,7 +384,7 @@ class CheckResult:
     """Outcome of one named cross-check.
 
     status is "pass", "fail", or "unconverged"; witness, when present,
-    pinpoints the smallest failing parameters with both values.
+    is the first failing point with the value of every route there.
     """
 
     name: str
@@ -404,47 +404,86 @@ def _verdict(name: str, params: dict, failures: list[dict], detail: str = "") ->
     return CheckResult(name, params, "pass", detail=detail)
 
 
+def _grid(**axes: Iterable) -> Iterator[dict]:
+    """Every combination of the axis values as a dict, first axis outermost."""
+    for values in itertools.product(*axes.values()):
+        yield dict(zip(axes, values))
+
+
+def _ascent_points(max_n: int) -> Iterator[dict]:
+    """Every {"n": n, "S": S} with 1 <= n <= max_n and S inside {1..n-1}."""
+    for n in range(1, max_n + 1):
+        for r in range(n):
+            for s in itertools.combinations(range(1, n), r):
+                yield {"n": n, "S": s}
+
+
+def _json_safe(value):
+    """Polynomials and series as coefficient lists; anything else as is."""
+    if isinstance(value, BiPoly):
+        return [[i, j, c] for (i, j), c in value.items()]
+    if isinstance(value, (IntPoly, RatSeries)):
+        return [str(c) if isinstance(c, Fraction) else c for c in value.coeffs]
+    return value
+
+
+def _disagreements(points: Iterable[dict], routes: Callable[..., dict]) -> list[dict]:
+    """The points at which independent routes to one quantity disagree.
+
+    ``routes(**point)`` maps each route's name to its value at the point.
+    Each failure holds the point and every route's value, JSON-safe.
+    """
+    failures = []
+    for point in points:
+        values = routes(**point)
+        first, *rest = values.values()
+        if any(v != first for v in rest):
+            failures.append({**point, **{k: _json_safe(v) for k, v in values.items()}})
+    return failures
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 
 
 def check_tables(max_n: int) -> list[CheckResult]:
     """Internal consistency of the number tables and series kernel."""
-    failures = []
-    for n in range(max_n + 1):
-        if sum(stirling1(n, k) for k in range(n + 1)) != math.factorial(n):
-            failures.append({"n": n, "identity": "stirling1 row sum"})
-        if ballot_block_poly(n)(1) != fubini(n):
-            failures.append({"n": n, "identity": "ballot blocks at t=1"})
+    sizes = list(_grid(n=range(max_n + 1)))
+    failures = _disagreements(
+        sizes,
+        lambda n: {"row-sum": sum(stirling1(n, k) for k in range(n + 1)), "n!": math.factorial(n)},
+    ) + _disagreements(
+        sizes, lambda n: {"ballot-blocks-at-1": ballot_block_poly(n)(1), "fubini": fubini(n)}
+    )
     out = [_verdict("table-row-sums", {"max_n": max_n}, failures)]
 
     order = max(max_n, 1)
     bal = (RatSeries([2], order=order) - RatSeries.exp(order)).invert_unit()
     got = bal.egf_to_ogf().integer_coefficients()
-    failures = [
-        {"n": n, "got": got[n], "expected": fubini(n)}
-        for n in range(order + 1)
-        if got[n] != fubini(n)
-    ]
-    out.append(_verdict("fubini-egf", {"max_n": max_n}, failures))
+    failures = _disagreements(
+        _grid(n=range(order + 1)), lambda n: {"egf": got[n], "fubini": fubini(n)}
+    )
+    out.append(_verdict("fubini-egf", {"max_n": order}, failures))
 
     lhs = RatSeries.exp(order).compose(RatSeries.log_geometric(order))
-    failures = [] if lhs == RatSeries.geometric(order) else [{"identity": "exp(log 1/(1-x))"}]
+    rhs = RatSeries.geometric(order)
+    failures = _disagreements([{}], lambda: {"exp(log 1/(1-x))": lhs, "1/(1-x)": rhs})
     out.append(_verdict("series-compose-roundtrip", {"order": order}, failures))
     return out
 
 
 def check_cayley_ballot(max_n: int) -> list[CheckResult]:
     failures = []
-    count_failures = []
-    for n in range(max_n + 1):
+
+    def routes(n: int) -> dict:
         total = 0
         for w in words.enumerate_cayley(n):
             total += 1
             if words.ballot_to_cayley(words.cayley_to_ballot(w)) != w:
                 failures.append({"n": n, "word": w})
-        if total != fubini(n):
-            count_failures.append({"n": n, "got": total, "expected": fubini(n)})
+        return {"enumerated": total, "fubini": fubini(n)}
+
+    count_failures = _disagreements(_grid(n=range(max_n + 1)), routes)
     return [
         _verdict("cayley-ballot-roundtrip", {"max_n": max_n}, failures),
         _verdict("cayley-count-vs-fubini", {"max_n": max_n}, count_failures),
@@ -473,27 +512,26 @@ def check_word_matrix(max_n: int) -> list[CheckResult]:
 
 def check_act_bijection(max_n: int, max_m: int) -> list[CheckResult]:
     failures = []
-    count_failures = []
-    for m in range(max_m + 1):
-        for n in range(max_n + 1):
-            built = []
-            for base in lomat.enumerate_genmat(m, n):
-                for w in words.enumerate_linear_orders(n):
-                    image = lomat.act(w, base)
-                    got_w, got_base = lomat.factor_action(image)
-                    if got_w != w or got_base != base:
-                        failures.append({"m": m, "n": n, "w": w})
-                    built.append(image)
-            direct = set(lomat.enumerate_lomat_direct(m, n))
-            if len(built) != len(direct) or set(built) != direct:
-                count_failures.append(
-                    {"m": m, "n": n, "via_action": len(built), "direct": len(direct)}
-                )
+
+    def routes(m: int, n: int) -> dict:
+        built = []
+        for base in lomat.enumerate_genmat(m, n):
+            for w in words.enumerate_linear_orders(n):
+                image = lomat.act(w, base)
+                got_w, got_base = lomat.factor_action(image)
+                if got_w != w or got_base != base:
+                    failures.append({"m": m, "n": n, "w": w})
+                built.append(image)
+        direct = set(lomat.enumerate_lomat_direct(m, n))
+        common = len(direct.intersection(built))
+        # equal exactly when the action builds the direct set, each structure once
+        return {"via_action": len(built), "direct": len(direct), "in_both": common}
+
+    params = {"max_n": max_n, "max_m": max_m}
+    count_failures = _disagreements(_grid(m=range(max_m + 1), n=range(max_n + 1)), routes)
     return [
-        _verdict("action-factorization", {"max_n": max_n, "max_m": max_m}, failures),
-        _verdict(
-            "action-image-vs-direct", {"max_n": max_n, "max_m": max_m}, count_failures
-        ),
+        _verdict("action-factorization", params, failures),
+        _verdict("action-image-vs-direct", params, count_failures),
     ]
 
 
@@ -515,94 +553,85 @@ def check_atom_ballot(max_n: int, max_m: int) -> list[CheckResult]:
 def check_gamma(max_n: int, max_m: int) -> list[CheckResult]:
     """Column-sign involution: involutivity, fixed points, signed sums."""
     prop_failures = []
-    sum_failures = []
-    for m in range(max_m + 1):
-        for n in range(max_n + 1):
-            signed_total = 0
-            fixed = 0
-            for sm in lomat.enumerate_signed(m, n):
-                signed_total += sm.xi
-                image = lomat.gamma(sm)
-                is_fixed = image == sm
-                has_empty = lomat.leftmost_empty_column(sm.matrix) != 0
-                if is_fixed == has_empty:
-                    prop_failures.append({"m": m, "n": n, "bad": "fixed-point set"})
-                    continue
-                if is_fixed:
-                    fixed += 1
-                    if any(s == -1 for s in sm.signs):
-                        prop_failures.append({"m": m, "n": n, "bad": "fixed sign"})
-                else:
-                    if lomat.gamma(image) != sm or image.xi != -sm.xi:
-                        prop_failures.append({"m": m, "n": n, "bad": "involution"})
-            expected = count_genmat(m, n)
-            if signed_total != expected or fixed != expected:
-                sum_failures.append(
-                    {"m": m, "n": n, "signed": signed_total, "fixed": fixed, "expected": expected}
-                )
+
+    def routes(m: int, n: int) -> dict:
+        signed_total = 0
+        fixed = 0
+        for sm in lomat.enumerate_signed(m, n):
+            signed_total += sm.xi
+            image = lomat.gamma(sm)
+            is_fixed = image == sm
+            has_empty = lomat.leftmost_empty_column(sm.matrix) != 0
+            if is_fixed == has_empty:
+                prop_failures.append({"m": m, "n": n, "bad": "fixed-point set"})
+                continue
+            if is_fixed:
+                fixed += 1
+                if any(s == -1 for s in sm.signs):
+                    prop_failures.append({"m": m, "n": n, "bad": "fixed sign"})
+            elif lomat.gamma(image) != sm or image.xi != -sm.xi:
+                prop_failures.append({"m": m, "n": n, "bad": "involution"})
+        return {"signed": signed_total, "fixed": fixed, "formula": count_genmat(m, n)}
+
+    params = {"max_n": max_n, "max_m": max_m}
+    sum_failures = _disagreements(_grid(m=range(max_m + 1), n=range(max_n + 1)), routes)
     return [
-        _verdict("gamma-involution", {"max_n": max_n, "max_m": max_m}, prop_failures),
-        _verdict("gamma-signed-sum", {"max_n": max_n, "max_m": max_m}, sum_failures),
+        _verdict("gamma-involution", params, prop_failures),
+        _verdict("gamma-signed-sum", params, sum_failures),
     ]
 
 
 def check_gamma_row_filtered(max_n: int) -> list[CheckResult]:
     """Signed sums filtered by row-sum vector reproduce the ascent-set counts."""
-    failures = []
-    for n in range(1, max_n + 1):
-        for r in range(n):
-            for s in itertools.combinations(range(1, n), r):
-                spec = words.AscentSetSpec(n, s)
-                m = len(spec.delta)
-                total = sum(
-                    sm.xi for sm in lomat.enumerate_signed(m, n, row_sums_spec=spec)
-                )
-                expected = beta_formula(spec, strict=True)
-                by_enum = sum(1 for _ in burge.enumerate_mat(n, row_sums_spec=spec))
-                if not total == expected == by_enum:
-                    failures.append(
-                        {"n": n, "S": s, "signed": total, "formula": expected, "enum": by_enum}
-                    )
+
+    def routes(n: int, S: tuple[int, ...]) -> dict:
+        spec = words.AscentSetSpec(n, S)
+        m = len(spec.delta)
+        return {
+            "signed": sum(sm.xi for sm in lomat.enumerate_signed(m, n, row_sums_spec=spec)),
+            "formula": beta_formula(spec, strict=True),
+            "enum": sum(1 for _ in burge.enumerate_mat(n, row_sums_spec=spec)),
+        }
+
+    failures = _disagreements(_ascent_points(max_n), routes)
     return [_verdict("gamma-row-filtered-sum", {"max_n": max_n}, failures)]
 
 
 def check_tau(max_n: int, max_m: int) -> list[CheckResult]:
     """First-swap involution on all structures with a fixed row count."""
     prop_failures = []
-    sum_failures = []
-    for m in range(max_m + 1):
-        for n in range(max_n + 1):
-            signed_total = 0
-            fixed = 0
-            for structure in lomat.enumerate_lomat(m, n):
-                sign = lomat.xi_atoms(structure)
-                signed_total += sign
-                image = lomat.tau(structure)
-                short_entries = all(
-                    len(e) <= 1 for row in structure.entries for e in row
-                )
-                if (image == structure) != short_entries:
-                    prop_failures.append({"m": m, "n": n, "bad": "fixed-point set"})
-                    continue
-                if image == structure:
-                    fixed += 1
-                elif lomat.tau(image) != structure or lomat.xi_atoms(image) != -sign:
-                    prop_failures.append({"m": m, "n": n, "bad": "involution"})
-            expected = math.factorial(n) * count_genmat(m, n, binary=True)
-            if signed_total != expected or fixed != expected:
-                sum_failures.append(
-                    {"m": m, "n": n, "signed": signed_total, "fixed": fixed, "expected": expected}
-                )
+
+    def routes(m: int, n: int) -> dict:
+        signed_total = 0
+        fixed = 0
+        for structure in lomat.enumerate_lomat(m, n):
+            sign = lomat.xi_atoms(structure)
+            signed_total += sign
+            image = lomat.tau(structure)
+            short_entries = all(len(e) <= 1 for row in structure.entries for e in row)
+            if (image == structure) != short_entries:
+                prop_failures.append({"m": m, "n": n, "bad": "fixed-point set"})
+                continue
+            if image == structure:
+                fixed += 1
+            elif lomat.tau(image) != structure or lomat.xi_atoms(image) != -sign:
+                prop_failures.append({"m": m, "n": n, "bad": "involution"})
+        expected = math.factorial(n) * count_genmat(m, n, binary=True)
+        return {"signed": signed_total, "fixed": fixed, "formula": expected}
+
+    params = {"max_n": max_n, "max_m": max_m}
+    sum_failures = _disagreements(_grid(m=range(max_m + 1), n=range(max_n + 1)), routes)
     return [
-        _verdict("tau-involution", {"max_n": max_n, "max_m": max_m}, prop_failures),
-        _verdict("tau-signed-sum", {"max_n": max_n, "max_m": max_m}, sum_failures),
+        _verdict("tau-involution", params, prop_failures),
+        _verdict("tau-signed-sum", params, sum_failures),
     ]
 
 
 def check_tau_row_complete(max_n: int) -> list[CheckResult]:
     """tau restricted to structures with no empty row, any row count."""
     failures = []
-    for n in range(max_n + 1):
+
+    def routes(n: int) -> dict:
         signed_total = 0
         for base in lomat.enumerate_mat_normalized(n):
             for w in words.enumerate_linear_orders(n):
@@ -611,159 +640,169 @@ def check_tau_row_complete(max_n: int) -> list[CheckResult]:
                 if image.has_empty_row() != structure.has_empty_row():
                     failures.append({"n": n, "bad": "tau left the no-empty-row set"})
                 signed_total += lomat.xi_atoms(structure)
-        expected = math.factorial(n) * count_mat(n, binary=True)
-        if signed_total != expected:
-            failures.append({"n": n, "signed": signed_total, "expected": expected})
-    return [_verdict("tau-row-complete-sum", {"max_n": max_n}, failures)]
+        return {"signed": signed_total, "formula": math.factorial(n) * count_mat(n, binary=True)}
+
+    sum_failures = _disagreements(_grid(n=range(max_n + 1)), routes)
+    return [_verdict("tau-row-complete-sum", {"max_n": max_n}, failures + sum_failures)]
 
 
 def check_count_methods(
     max_n: int, max_m: int, enum_max_n: int = 5, enum_max_m: int = 3
 ) -> list[CheckResult]:
     """All count_genmat methods agree; enumeration within its own bounds."""
-    failures = []
-    for binary in (False, True):
-        for m in range(max_m + 1):
-            for n in range(max_n + 1):
-                values = {
-                    method: count_genmat(m, n, binary=binary, method=method)
-                    for method in ("compositions", "stirling", "inclexcl", "ogf-coefficient")
-                }
-                if m <= enum_max_m and n <= enum_max_n:
-                    values["enumerate"] = count_genmat(
-                        m, n, binary=binary, method="enumerate"
-                    )
-                if len(set(values.values())) != 1:
-                    failures.append({"m": m, "n": n, "binary": binary, "values": values})
-    return [
-        _verdict(
-            "count-genmat-method-agreement",
-            {"max_n": max_n, "max_m": max_m, "enum_max_n": enum_max_n, "enum_max_m": enum_max_m},
-            failures,
-        )
-    ]
+    enum_max_n, enum_max_m = min(max_n, enum_max_n), min(max_m, enum_max_m)
+
+    def routes(binary: bool, m: int, n: int) -> dict:
+        skip = () if m <= enum_max_m and n <= enum_max_n else ("enumerate",)
+        return {
+            method: count_genmat(m, n, binary=binary, method=method)
+            for method in GENMAT_METHODS
+            if method not in skip
+        }
+
+    grid = _grid(binary=(False, True), m=range(max_m + 1), n=range(max_n + 1))
+    params = {"max_n": max_n, "max_m": max_m, "enum_max_n": enum_max_n, "enum_max_m": enum_max_m}
+    return [_verdict("count-genmat-method-agreement", params, _disagreements(grid, routes))]
 
 
-def check_count_mat_methods(max_n: int, enum_max_n: int = 6) -> list[CheckResult]:
-    failures = []
-    for binary in (False, True):
-        for n in range(min(max_n, enum_max_n) + 1):
-            a = count_mat(n, binary=binary, method="stirling")
-            b = count_mat(n, binary=binary, method="enumerate")
-            if a != b:
-                failures.append({"n": n, "binary": binary, "stirling": a, "enumerate": b})
+def check_count_mat_methods(max_n: int) -> list[CheckResult]:
+    failures = _disagreements(
+        _grid(binary=(False, True), n=range(max_n + 1)),
+        lambda binary, n: {
+            meth: count_mat(n, binary=binary, method=meth) for meth in ("stirling", "enumerate")
+        },
+    )
     return [_verdict("count-mat-vs-enumeration", {"max_n": max_n}, failures)]
 
 
 def check_caylerian(max_n: int, brute_max_n: int = 7) -> list[CheckResult]:
-    out = []
-    failures = []
-    for strict in (False, True):
-        for n in range(min(max_n, brute_max_n) + 1):
-            got = caylerian_formula(n, strict=strict)
-            expected = words.caylerian_brute(n, strict=strict)
-            if got != expected:
-                failures.append(
-                    {"n": n, "strict": strict, "formula": list(got.coeffs), "brute": list(expected.coeffs)}
-                )
-    out.append(_verdict("caylerian-formula-vs-brute", {"max_n": max_n}, failures))
+    brute_max_n = min(max_n, brute_max_n)
+    failures = _disagreements(
+        _grid(strict=(False, True), n=range(brute_max_n + 1)),
+        lambda strict, n: {
+            "formula": caylerian_formula(n, strict=strict),
+            "brute": words.caylerian_brute(n, strict=strict),
+        },
+    )
+    out = [_verdict("caylerian-formula-vs-brute", {"max_n": brute_max_n}, failures)]
 
-    failures = []
-    for n in range(1, max_n + 1):
-        weak = caylerian_formula(n)
-        if caylerian_formula(n, strict=True) != weak.reverse_coefficients(n - 1):
-            failures.append({"n": n})
+    failures = _disagreements(
+        _grid(n=range(1, max_n + 1)),
+        lambda n: {
+            "strict-formula": caylerian_formula(n, strict=True),
+            "reversed-weak": caylerian_formula(n).reverse_coefficients(n - 1),
+        },
+    )
     out.append(_verdict("caylerian-strict-is-reverse", {"max_n": max_n}, failures))
 
-    failures = []
-    for n in range(max_n + 1):
-        if caylerian_formula(n)(1) != fubini(n):
-            failures.append({"n": n, "eval": 1})
-        if caylerian_formula(n)(2) != count_mat(n):
-            failures.append({"n": n, "eval": 2, "variant": "general"})
-        if caylerian_formula(n, strict=True)(2) != count_mat(n, binary=True):
-            failures.append({"n": n, "eval": 2, "variant": "binary"})
+    failures = _disagreements(
+        _grid(n=range(max_n + 1)), lambda n: {"C(1)": caylerian_formula(n)(1), "fubini": fubini(n)}
+    )
+    # C_n(2) counts the Burge matrices, the strict C_n(2) the binary ones
+    failures += _disagreements(
+        _grid(n=range(max_n + 1), strict=(False, True)),
+        lambda n, strict: {"C(2)": caylerian_formula(n, strict)(2), "mat": count_mat(n, strict)},
+    )
     out.append(_verdict("caylerian-evaluations", {"max_n": max_n}, failures))
     return out
 
 
 def check_two_sided(max_n: int) -> list[CheckResult]:
-    out = []
-    failures = []
-    for strict in (False, True):
-        for n in range(max_n + 1):
-            got = two_sided_formula(n, strict=strict)
-            expected = burge.two_sided_brute(n, binary=strict)
-            if got != expected:
-                failures.append({"n": n, "strict": strict})
-    out.append(_verdict("two-sided-formula-vs-brute", {"max_n": max_n}, failures))
+    failures = _disagreements(
+        _grid(strict=(False, True), n=range(max_n + 1)),
+        lambda strict, n: {
+            "formula": two_sided_formula(n, strict=strict),
+            "brute": burge.two_sided_brute(n, binary=strict),
+        },
+    )
+    out = [_verdict("two-sided-formula-vs-brute", {"max_n": max_n}, failures)]
 
-    failures = []
-    for n in range(max_n + 1):
-        for strict in (False, True):
-            poly = two_sided_formula(n, strict=strict)
-            if poly.eval(1, 1) != count_mat(n, binary=strict):
-                failures.append({"n": n, "strict": strict, "bad": "eval(1,1)"})
-            recovered = caylerian_from_two_sided(poly, n)
-            if recovered != caylerian_formula(n, strict=strict):
-                failures.append({"n": n, "strict": strict, "bad": "substitution"})
+    points = list(_grid(n=range(max_n + 1), strict=(False, True)))
+    failures = _disagreements(
+        points,
+        lambda n, strict: {
+            "eval(1,1)": two_sided_formula(n, strict=strict).eval(1, 1),
+            "count": count_mat(n, binary=strict),
+        },
+    ) + _disagreements(
+        points,
+        lambda n, strict: {
+            "substitution": caylerian_from_two_sided(two_sided_formula(n, strict=strict), n),
+            "caylerian": caylerian_formula(n, strict=strict),
+        },
+    )
     out.append(_verdict("two-sided-consistency", {"max_n": max_n}, failures))
     return out
 
 
 def check_beta(max_n: int) -> list[CheckResult]:
     """Ascent-set counting: formula vs brute force vs matrix enumeration."""
-    out = []
-    formula_failures = []
-    matrix_failures = []
-    equal_failures = []
-    alpha_failures = []
-    for n in range(1, max_n + 1):
-        mats = Counter(burge.row_sums(a) for a in burge.enumerate_mat(n))
-        bmats = Counter(burge.row_sums(a) for a in burge.enumerate_mat(n, binary=True))
-        perms = list(words.enumerate_linear_orders(n))
-        equal_total = 0
-        for r in range(n):
-            for s in itertools.combinations(range(1, n), r):
-                spec = words.AscentSetSpec(n, s)
-                for strict in (False, True):
-                    if beta_formula(spec, strict=strict) != words.beta_brute(spec, strict=strict):
-                        formula_failures.append({"n": n, "S": s, "strict": strict})
-                if beta_formula(spec, strict=True) != mats[spec.delta]:
-                    matrix_failures.append({"n": n, "S": s, "variant": "general"})
-                if beta_formula(spec, strict=False) != bmats[spec.delta]:
-                    matrix_failures.append({"n": n, "S": s, "variant": "binary"})
-                for strict in (False, True):
-                    eq = words.beta_brute(spec, strict=strict, mode="equal")
-                    if eq != beta_equal_by_subsets(spec, strict=strict):
-                        equal_failures.append({"n": n, "S": s, "strict": strict})
-                    if not strict:
-                        equal_total += eq
-                allowed = frozenset(s)
-                brute_alpha = sum(
-                    1 for p in perms if words.ascent_set(p) <= allowed
-                )
-                brute_exact = sum(
-                    1 for p in perms if words.ascent_set(p) == allowed
-                )
-                if words.alpha_count(spec) != brute_alpha:
-                    alpha_failures.append({"n": n, "S": s, "bad": "alpha"})
-                if words.beta_perm_determinant(spec) != brute_exact:
-                    alpha_failures.append({"n": n, "S": s, "bad": "determinant"})
-                det_total = sum(
-                    words.beta_perm_determinant(words.AscentSetSpec(n, sub))
-                    for size in range(len(s) + 1)
-                    for sub in itertools.combinations(s, size)
-                )
-                if det_total != words.alpha_count(spec):
-                    alpha_failures.append({"n": n, "S": s, "bad": "subset-sum"})
-        if equal_total != fubini(n):
-            equal_failures.append({"n": n, "bad": "partition by weak ascent set"})
-    out.append(_verdict("beta-formula-vs-brute", {"max_n": max_n}, formula_failures))
-    out.append(_verdict("beta-vs-matrix-row-sums", {"max_n": max_n}, matrix_failures))
-    out.append(_verdict("beta-equal-mode", {"max_n": max_n}, equal_failures))
-    out.append(_verdict("alpha-vs-determinant", {"max_n": max_n}, alpha_failures))
-    return out
+    # One enumeration per size serves every S: the row-sum vectors of the
+    # (binary) Burge matrices and the ascent sets of the permutations.
+    sizes = range(1, max_n + 1)
+    mat_rows = {
+        (n, binary): Counter(burge.row_sums(a) for a in burge.enumerate_mat(n, binary=binary))
+        for n in sizes
+        for binary in (False, True)
+    }
+    perm_ascents = {
+        n: Counter(map(words.ascent_set, words.enumerate_linear_orders(n))) for n in sizes
+    }
+    specs = list(_ascent_points(max_n))
+    specs_strict = [{**p, "strict": strict} for p in specs for strict in (False, True)]
+    spec = words.AscentSetSpec
+
+    formula_failures = _disagreements(
+        specs_strict,
+        lambda n, S, strict: {
+            "formula": beta_formula(spec(n, S), strict=strict),
+            "brute": words.beta_brute(spec(n, S), strict=strict),
+        },
+    )
+    # strict ascents count the general matrices, weak ones the binary
+    matrix_failures = _disagreements(
+        specs_strict,
+        lambda n, S, strict: {
+            "formula": beta_formula(spec(n, S), strict=strict),
+            "matrices": mat_rows[n, not strict][spec(n, S).delta],
+        },
+    )
+
+    weak_classes: Counter = Counter()
+
+    def equal_routes(n: int, S: tuple[int, ...], strict: bool) -> dict:
+        brute = words.beta_brute(spec(n, S), strict=strict, mode="equal")
+        weak_classes[n] += 0 if strict else brute
+        return {"brute": brute, "by-subsets": beta_equal_by_subsets(spec(n, S), strict=strict)}
+
+    equal_failures = _disagreements(specs_strict, equal_routes)
+    # every Cayley permutation has exactly one weak ascent set
+    equal_failures += _disagreements(
+        _grid(n=sizes), lambda n: {"weak-ascent-classes": weak_classes[n], "fubini": fubini(n)}
+    )
+
+    def alpha_routes(n: int, S: tuple[int, ...]) -> dict:
+        subsets = (sub for size in range(len(S) + 1) for sub in itertools.combinations(S, size))
+        return {
+            "multinomial": words.alpha_count(spec(n, S)),
+            "enumerated": sum(c for a, c in perm_ascents[n].items() if a <= frozenset(S)),
+            "determinants": sum(words.beta_perm_determinant(spec(n, sub)) for sub in subsets),
+        }
+
+    alpha_failures = _disagreements(specs, alpha_routes) + _disagreements(
+        specs,
+        lambda n, S: {
+            "determinant": words.beta_perm_determinant(spec(n, S)),
+            "enumerated": perm_ascents[n][frozenset(S)],
+        },
+    )
+    params = {"max_n": max_n}
+    return [
+        _verdict("beta-formula-vs-brute", params, formula_failures),
+        _verdict("beta-vs-matrix-row-sums", params, matrix_failures),
+        _verdict("beta-equal-mode", params, equal_failures),
+        _verdict("alpha-vs-determinant", params, alpha_failures),
+    ]
 
 
 def pairing_check(max_n: int, max_m: int) -> CheckResult:
@@ -776,46 +815,33 @@ def pairing_check(max_n: int, max_m: int) -> CheckResult:
     records which, plus the as-written pairing's failures (the
     as-written text pairs weak with general).
     """
-    ok_printed = True
-    ok_swapped = True
-    printed_failures = 0
     printed_cells = []
+    ok_swapped = True
     witness = None
     cell22 = None
     for n in range(max_n + 1):
         weak = carlitz_series(n, strict=False, order=max_m)
         strict = carlitz_series(n, strict=True, order=max_m)
         for m in range(1, max_m + 1):
-            general = count_genmat(m, n)
-            binary = count_genmat(m, n, binary=True)
+            general, binary = count_genmat(m, n), count_genmat(m, n, binary=True)
+            cell = {
+                "series": {"weak": weak[m], "strict": strict[m]},
+                "counts": {"general": general, "binary": binary},
+            }
             p_ok = weak[m] == general and strict[m] == binary
             s_ok = weak[m] == binary and strict[m] == general
             if (n, m) == (2, 2):
-                cell22 = {
-                    "series": {"weak": weak[m], "strict": strict[m]},
-                    "counts": {"general": general, "binary": binary},
-                }
+                cell22 = cell
             printed_cells.append([n, m, p_ok])
-            if not p_ok:
-                printed_failures += 1
-            ok_printed = ok_printed and p_ok
             ok_swapped = ok_swapped and s_ok
             if not p_ok and not s_ok and witness is None:
-                witness = {
-                    "n": n,
-                    "m": m,
-                    "series": {"weak": weak[m], "strict": strict[m]},
-                    "counts": {"general": general, "binary": binary},
-                }
-    consistent = []
-    if ok_printed:
-        consistent.append("weak-general/strict-binary")
-    if ok_swapped:
-        consistent.append("weak-binary/strict-general")
-    if witness is not None or not consistent:
-        status = "fail"
-    else:
-        status = "pass"
+                witness = {"n": n, "m": m, **cell}
+    printed_failures = sum(1 for *_, p_ok in printed_cells if not p_ok)
+    pairings = {
+        "weak-general/strict-binary": printed_failures == 0,
+        "weak-binary/strict-general": ok_swapped,
+    }
+    consistent = [pairing for pairing, ok in pairings.items() if ok]
     if len(consistent) == 1:
         determined = consistent[0]
     elif consistent:
@@ -826,30 +852,23 @@ def pairing_check(max_n: int, max_m: int) -> CheckResult:
         f"consistent pairing: {determined}; "
         f"as-written pairing fails in {printed_failures} cells"
     )
-    result = CheckResult(
-        "carlitz-pairing",
-        {"max_n": max_n, "max_m": max_m},
-        status,
-        witness=witness,
-        detail=detail,
-    )
-    result.params["cell_2_2"] = cell22
-    result.params["consistent"] = consistent
-    result.params["as_printed_cells"] = printed_cells
-    return result
+    status = "fail" if witness is not None or not consistent else "pass"
+    params = {"max_n": max_n, "max_m": max_m, "cell_2_2": cell22, "consistent": consistent}
+    params["as_printed_cells"] = printed_cells
+    return CheckResult("carlitz-pairing", params, status, witness=witness, detail=detail)
+
 
 
 def check_ogf_coefficients(max_n: int, max_m: int) -> list[CheckResult]:
-    failures = []
-    for binary in (False, True):
-        for m in range(max_m + 1):
-            series = genmat_ogf(m, max_n, binary=binary).integer_coefficients()
-            for n in range(max_n + 1):
-                expected = count_genmat(m, n, binary=binary)
-                if series[n] != expected:
-                    failures.append(
-                        {"m": m, "n": n, "binary": binary, "series": series[n], "count": expected}
-                    )
+    series = {
+        (binary, m): genmat_ogf(m, max_n, binary=binary).integer_coefficients()
+        for binary in (False, True)
+        for m in range(max_m + 1)
+    }
+    failures = _disagreements(
+        _grid(binary=(False, True), m=range(max_m + 1), n=range(max_n + 1)),
+        lambda binary, m, n: {"series": series[binary, m][n], "count": count_genmat(m, n, binary)},
+    )
     return [_verdict("ogf-coefficients-vs-counts", {"max_n": max_n, "max_m": max_m}, failures)]
 
 
@@ -865,188 +884,168 @@ def check_species_series(max_n: int, max_m: int) -> list[CheckResult]:
       the (s,t)-weighted variant         -> two-sided polynomials.
     """
     order = max_n
-    failures = []
-    log_plus = RatSeries.log_one_plus_x(order)
-    log_geom = RatSeries.log_geometric(order)
-    for m in range(max_m + 1):
-        geom_inner = RatSeries.from_rational(
-            IntPoly((1,)), IntPoly((1, -1)) ** m, order
-        ) - RatSeries.one(order)
-        bin_inner = RatSeries.from_intpoly(IntPoly((1, 1)) ** m, order) - RatSeries.one(order)
-        bal = RatSeries(
-            [Fraction(fubini(k), math.factorial(k)) for k in range(order + 1)], order=order
-        )
-        routes = {
-            ("general", "linear-orders"): RatSeries.geometric(order).compose(geom_inner),
-            ("binary", "linear-orders"): RatSeries.geometric(order).compose(bin_inner),
-            ("general", "atom-ballots"): bal.compose(m * log_geom),
-            ("binary", "atom-ballots"): bal.compose(m * log_plus),
+    inner_log = {False: RatSeries.log_geometric(order), True: RatSeries.log_one_plus_x(order)}
+
+    def egf(weight: Callable[[int], int]) -> RatSeries:
+        coeffs = [Fraction(weight(k), math.factorial(k)) for k in range(order + 1)]
+        return RatSeries(coeffs, order=order)
+
+    bal = egf(fubini)
+
+    def row_series(m: int, binary: bool) -> dict:
+        one = RatSeries.one(order)
+        if binary:
+            inner = RatSeries.from_intpoly(IntPoly((1, 1)) ** m, order) - one
+        else:
+            inner = RatSeries.from_rational(IntPoly((1,)), IntPoly((1, -1)) ** m, order) - one
+        return {
+            "linear-orders": RatSeries.geometric(order).compose(inner).integer_coefficients(),
+            "atom-ballots": bal.compose(m * inner_log[binary]).integer_coefficients(),
         }
-        for (variant, route), series in routes.items():
-            coeffs = series.integer_coefficients()
-            for n in range(order + 1):
-                expected = count_genmat(m, n, binary=(variant == "binary"))
-                if coeffs[n] != expected:
-                    failures.append({"m": m, "n": n, "route": route, "variant": variant})
-    mat_series = RatSeries(
-        [Fraction(fubini(k) ** 2, math.factorial(k)) for k in range(order + 1)],
-        order=order,
+
+    by_rows = {(m, b): row_series(m, b) for m in range(max_m + 1) for b in (False, True)}
+    failures = _disagreements(
+        _grid(m=range(max_m + 1), binary=(False, True), n=range(order + 1)),
+        lambda m, binary, n: {
+            **{route: coeffs[n] for route, coeffs in by_rows[m, binary].items()},
+            "count": count_genmat(m, n, binary=binary),
+        },
     )
-    for binary, inner in ((False, log_geom), (True, log_plus)):
-        coeffs = mat_series.compose(inner).integer_coefficients()
-        for n in range(order + 1):
-            if coeffs[n] != count_mat(n, binary=binary):
-                failures.append({"n": n, "route": "matrix-ballots", "binary": binary})
-    for binary, inner in ((False, log_geom), (True, log_plus)):
-        for s in range(1, 4):
-            for t in range(1, 4):
-                weighted = RatSeries(
-                    [
-                        Fraction(
-                            ballot_block_poly(k)(s) * ballot_block_poly(k)(t),
-                            math.factorial(k),
-                        )
-                        for k in range(order + 1)
-                    ],
-                    order=order,
-                )
-                coeffs = weighted.compose(inner).integer_coefficients()
-                for n in range(order + 1):
-                    expected = two_sided_formula(n, strict=binary).eval(s, t)
-                    if coeffs[n] != expected:
-                        failures.append(
-                            {"n": n, "s": s, "t": t, "binary": binary, "route": "weighted"}
-                        )
+
+    mat_egf = egf(lambda k: fubini(k) ** 2)
+    by_mat = {b: mat_egf.compose(inner_log[b]).integer_coefficients() for b in (False, True)}
+    failures += _disagreements(
+        _grid(binary=(False, True), n=range(order + 1)),
+        lambda binary, n: {"matrix-ballots": by_mat[binary][n], "count": count_mat(n, binary)},
+    )
+
+    def weighted(binary: bool, s: int, t: int) -> list[int]:
+        series = egf(lambda k: ballot_block_poly(k)(s) * ballot_block_poly(k)(t))
+        return series.compose(inner_log[binary]).integer_coefficients()
+
+    weights = list(_grid(binary=(False, True), s=range(1, 4), t=range(1, 4)))
+    by_weight = {tuple(w.values()): weighted(**w) for w in weights}
+    failures += _disagreements(
+        ({**w, "n": n} for w in weights for n in range(order + 1)),
+        lambda binary, s, t, n: {
+            "weighted": by_weight[binary, s, t][n],
+            "two-sided": two_sided_formula(n, strict=binary).eval(s, t),
+        },
+    )
     return [
         _verdict("species-series-vs-counts", {"max_n": max_n, "max_m": max_m}, failures)
     ]
 
 
-def check_halving(max_n: int, tail_bound: Fraction = Fraction(1, 2)) -> list[CheckResult]:
+def _check_certified(
+    prefix: str, details: tuple[str, str], routes: Callable, max_n: int, tail_bound: Fraction
+) -> list[CheckResult]:
+    """Certified sums against |Mat[n]|, then |BMat[n]|; a sum that cannot
+    certify below tail_bound leaves its variant "unconverged" at that n."""
     out = []
-    for binary in (False, True):
+    params = {"max_n": max_n, "tail_bound": str(tail_bound)}
+    for binary, detail in zip((False, True), details):
+        name = f"{prefix}-{'binary' if binary else 'general'}"
         failures = []
-        status = None
-        for n in range(max_n + 1):
-            expected = count_mat(n, binary=binary)
-            try:
-                partial, tail = halving_sum(n, binary=binary, tail_bound=tail_bound)
-            except UnconvergedError as exc:
-                status = CheckResult(
-                    f"halving-sum-{'binary' if binary else 'general'}",
-                    {"max_n": max_n},
-                    "unconverged",
-                    witness={"n": n},
-                    detail=str(exc),
+        try:
+            for n in range(max_n + 1):
+                failures += _disagreements(
+                    [{"n": n}], lambda n: {"count": count_mat(n, binary), **routes(n, binary)}
                 )
-                break
-            if not partial <= expected <= partial + tail:
-                failures.append(
-                    {"n": n, "expected": expected, "interval": [str(partial), str(partial + tail)]}
-                )
-            if halving_sum_exact(n, binary=binary) != expected:
-                failures.append({"n": n, "bad": "newton-exact"})
-        if status is None:
-            status = _verdict(
-                f"halving-sum-{'binary' if binary else 'general'}",
-                {"max_n": max_n},
-                failures,
-                detail="certified interval plus exact finite-difference evaluation",
-            )
-        out.append(status)
+        except UnconvergedError as exc:
+            out.append(CheckResult(name, params, "unconverged", witness={"n": n}, detail=str(exc)))
+        else:
+            out.append(_verdict(name, params, failures, detail=detail))
     return out
+
+
+def check_halving(max_n: int, tail_bound: Fraction = Fraction(1, 2)) -> list[CheckResult]:
+    def routes(n: int, binary: bool) -> dict:
+        partial, tail = halving_sum(n, binary=binary, tail_bound=tail_bound)
+        # tail < tail_bound <= 1/2: at most one integer lies in [partial, partial + tail]
+        inside = math.ceil(partial)
+        return {
+            "certified": inside if inside <= partial + tail else None,
+            "newton": halving_sum_exact(n, binary=binary),
+        }
+
+    detail = "certified interval plus exact finite-difference evaluation"
+    return _check_certified("halving-sum", (detail, detail), routes, max_n, tail_bound)
 
 
 def check_double_sum(max_n: int, tail_bound: Fraction = Fraction(1, 2)) -> list[CheckResult]:
-    out = []
-    for binary in (False, True):
-        name = f"double-sum-{'binary' if binary else 'general'}"
-        detail = "theorem-check" if binary else "conjecture-check"
-        failures = []
-        status = None
-        for n in range(max_n + 1):
-            expected = count_mat(n, binary=binary)
-            try:
-                value, partial, tail = double_sum_mat(n, binary=binary, tail_bound=tail_bound)
-            except UnconvergedError as exc:
-                status = CheckResult(
-                    name, {"max_n": max_n}, "unconverged", witness={"n": n}, detail=str(exc)
-                )
-                break
-            if value != expected or not partial <= expected <= partial + tail:
-                failures.append({"n": n, "expected": expected, "got": value})
-        if status is None:
-            status = _verdict(name, {"max_n": max_n}, failures, detail=detail)
-        out.append(status)
-    return out
+    # double_sum_mat returns only an integer inside its certified interval
+    def routes(n: int, binary: bool) -> dict:
+        return {"double-sum": double_sum_mat(n, binary=binary, tail_bound=tail_bound)[0]}
+
+    details = ("conjecture-check", "theorem-check")
+    return _check_certified("double-sum", details, routes, max_n, tail_bound)
 
 
 # ---------------------------------------------------------------------------
 # suites
+#
+# Each suite is an ordered tuple of (check, cap on n, cap on m).  The caps
+# keep the enumerative checks inside their runtime budget; NO_CAP leaves
+# the requested bound as it is, and a cap of None on m marks a check
+# that takes no row bound.  Checks are held by name and looked up when a
+# suite runs, so a wrapper bound to the module attribute (a profiler's or
+# a test's) sees the call.
 
+NO_CAP = math.inf
 
-def suite_kernel(max_n: int, max_m: int) -> list[CheckResult]:
-    return check_tables(max_n)
-
-
-def suite_bijections(max_n: int, max_m: int) -> list[CheckResult]:
-    out = []
-    out += check_cayley_ballot(min(max_n, 7))
-    out += check_word_matrix(min(max_n, 5))
-    out += check_act_bijection(min(max_n, 5), min(max_m, 3))
-    out += check_atom_ballot(min(max_n, 5), min(max_m, 3))
-    return out
-
-
-def suite_involutions(max_n: int, max_m: int) -> list[CheckResult]:
-    out = []
-    out += check_gamma(min(max_n, 5), min(max_m, 3))
-    out += check_gamma_row_filtered(min(max_n, 5))
-    out += check_tau(min(max_n, 5), min(max_m, 3))
-    out += check_tau_row_complete(min(max_n, 5))
-    return out
-
-
-def suite_formulas(max_n: int, max_m: int) -> list[CheckResult]:
-    out = []
-    out += check_count_methods(max_n, max_m)
-    out += check_count_mat_methods(max_n)
-    out += check_caylerian(max_n)
-    out += check_two_sided(min(max_n, 6))
-    out += check_beta(min(max_n, 6))
-    return out
-
-
-def suite_pairing(max_n: int, max_m: int) -> list[CheckResult]:
-    return [pairing_check(max_n, max_m)]
-
-
-def suite_gf(max_n: int, max_m: int) -> list[CheckResult]:
-    out = []
-    out += check_ogf_coefficients(max_n, max_m)
-    out += check_species_series(min(max_n, 6), min(max_m, 4))
-    out += check_halving(min(max_n, 6))
-    out += check_double_sum(min(max_n, 6))
-    return out
-
-
-SUITES: dict[str, Callable[[int, int], list[CheckResult]]] = {
-    "kernel": suite_kernel,
-    "bijections": suite_bijections,
-    "involutions": suite_involutions,
-    "formulas": suite_formulas,
-    "pairing": suite_pairing,
-    "gf": suite_gf,
+SUITES: dict[str, tuple[tuple[str, float, float | None], ...]] = {
+    "kernel": (("check_tables", NO_CAP, None),),
+    "bijections": (
+        ("check_cayley_ballot", 7, None),
+        ("check_word_matrix", 5, None),
+        ("check_act_bijection", 5, 3),
+        ("check_atom_ballot", 5, 3),
+    ),
+    "involutions": (
+        ("check_gamma", 5, 3),
+        ("check_gamma_row_filtered", 5, None),
+        ("check_tau", 5, 3),
+        ("check_tau_row_complete", 5, None),
+    ),
+    "formulas": (
+        ("check_count_methods", NO_CAP, NO_CAP),
+        ("check_count_mat_methods", 6, None),
+        ("check_caylerian", NO_CAP, None),
+        ("check_two_sided", 6, None),
+        ("check_beta", 6, None),
+    ),
+    "pairing": (("pairing_check", NO_CAP, NO_CAP),),
+    "gf": (
+        ("check_ogf_coefficients", NO_CAP, NO_CAP),
+        ("check_species_series", 6, 4),
+        ("check_halving", 6, None),
+        ("check_double_sum", 6, None),
+    ),
 }
 
+# The checks that evaluate a truncated sum and take a tail bound.
+_TAIL_BOUNDED = ("check_halving", "check_double_sum")
 
-def run_suite(name: str, max_n: int, max_m: int) -> list[CheckResult]:
-    """Run one suite, or all of them in a fixed order with name="all"."""
-    if name == "all":
-        out = []
-        for suite_name in SUITES:
-            out += SUITES[suite_name](max_n, max_m)
-        return out
-    if name not in SUITES:
+
+def run_suite(
+    name: str, max_n: int, max_m: int, tail_bound: Fraction = Fraction(1, 2)
+) -> list[CheckResult]:
+    """Run one suite, or all of them in a fixed order with name="all".
+
+    Each check runs at the requested bounds clamped to its caps in
+    SUITES, and its results' params report those clamped bounds.
+    """
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](max_n, max_m)
+    out = []
+    for suite in SUITES if name == "all" else (name,):
+        for check, n_cap, m_cap in SUITES[suite]:
+            args = [min(max_n, n_cap)]
+            if m_cap is not None:
+                args.append(min(max_m, m_cap))
+            if check in _TAIL_BOUNDED:
+                args.append(tail_bound)
+            results = globals()[check](*args)
+            out += [results] if isinstance(results, CheckResult) else results
+    return out

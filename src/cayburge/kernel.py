@@ -24,7 +24,6 @@ __all__ = [
     "SeriesError",
     "NeedsZeroConstantTerm",
     "NeedsUnitConstantTerm",
-    "TABLE_BOUND",
     "binomial",
     "multichoose",
     "stirling1",
@@ -55,39 +54,31 @@ class NeedsUnitConstantTerm(SeriesError):
 # ---------------------------------------------------------------------------
 # number tables
 #
-# The Stirling and Fubini tables are built eagerly at import time up to
-# TABLE_BOUND and are never mutated afterwards, so reads are plain list
-# indexing.  ensure_tables() grows them (by wholesale replacement) if a
-# caller genuinely needs more.
+# The Stirling and Fubini tables hold rows 0..n for the largest n asked
+# for so far.  They grow on demand by appending rows and are never
+# shrunk or rewritten, so a value once read never changes.
 
-TABLE_BOUND = 64
-
-
-def _build_tables(bound: int) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    s1 = [[0] * (bound + 1) for _ in range(bound + 1)]
-    s2 = [[0] * (bound + 1) for _ in range(bound + 1)]
-    s1[0][0] = s2[0][0] = 1
-    for n in range(1, bound + 1):
-        for k in range(1, n + 1):
-            s1[n][k] = s1[n - 1][k - 1] + (n - 1) * s1[n - 1][k]
-            s2[n][k] = s2[n - 1][k - 1] + k * s2[n - 1][k]
-    fub = [
-        sum(s2[n][k] * math.factorial(k) for k in range(n + 1))
-        for n in range(bound + 1)
-    ]
-    return s1, s2, fub
+_S1: list[list[int]] = [[1]]
+_S2: list[list[int]] = [[1]]
+_FUB: list[int] = [1]
 
 
-_S1, _S2, _FUB = _build_tables(TABLE_BOUND)
-_bound = TABLE_BOUND
+def _grow_stirling(n: int) -> None:
+    """Append Stirling rows until both tables hold row n."""
+    while len(_S1) <= n:
+        row = len(_S1)
+        s1 = _S1[-1] + [0]
+        s2 = _S2[-1] + [0]
+        _S1.append([0] + [s1[k - 1] + (row - 1) * s1[k] for k in range(1, row + 1)])
+        _S2.append([0] + [s2[k - 1] + k * s2[k] for k in range(1, row + 1)])
 
 
-def ensure_tables(bound: int) -> None:
-    """Grow the memoized tables so that arguments up to ``bound`` work."""
-    global _S1, _S2, _FUB, _bound
-    if bound > _bound:
-        _S1, _S2, _FUB = _build_tables(bound)
-        _bound = bound
+def _grow_fubini(n: int) -> None:
+    """Append Fubini numbers until the table holds fub(n)."""
+    _grow_stirling(n)
+    while len(_FUB) <= n:
+        row = _S2[len(_FUB)]
+        _FUB.append(sum(s * math.factorial(k) for k, s in enumerate(row)))
 
 
 def binomial(n: int, k: int) -> int:
@@ -114,8 +105,8 @@ def stirling1(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind: permutations of [n] with k cycles."""
     if n < 0 or k < 0:
         raise ValueError(f"stirling1 needs nonnegative arguments, got ({n}, {k})")
-    if n > _bound:
-        raise ValueError(f"stirling1({n}, ...) exceeds table bound {_bound}; call ensure_tables")
+    if n >= len(_S1):
+        _grow_stirling(n)
     return _S1[n][k] if k <= n else 0
 
 
@@ -123,8 +114,8 @@ def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind: partitions of [n] into k blocks."""
     if n < 0 or k < 0:
         raise ValueError(f"stirling2 needs nonnegative arguments, got ({n}, {k})")
-    if n > _bound:
-        raise ValueError(f"stirling2({n}, ...) exceeds table bound {_bound}; call ensure_tables")
+    if n >= len(_S2):
+        _grow_stirling(n)
     return _S2[n][k] if k <= n else 0
 
 
@@ -132,8 +123,8 @@ def fubini(n: int) -> int:
     """Number of ballots (ordered set partitions) of an n-set."""
     if n < 0:
         raise ValueError(f"fubini needs a nonnegative argument, got {n}")
-    if n > _bound:
-        raise ValueError(f"fubini({n}) exceeds table bound {_bound}; call ensure_tables")
+    if n >= len(_FUB):
+        _grow_fubini(n)
     return _FUB[n]
 
 
@@ -418,7 +409,7 @@ class RatSeries:
 
     @classmethod
     def zero(cls, order: int) -> "RatSeries":
-        return cls([], order=order) if order < 0 else cls([0], order=order)
+        return cls([0], order=order)
 
     @classmethod
     def one(cls, order: int) -> "RatSeries":

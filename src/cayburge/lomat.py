@@ -54,7 +54,6 @@ __all__ = [
     "enumerate_lomat_direct",
     "enumerate_mat_normalized",
     "leftmost_empty_column",
-    "xi_columns",
     "gamma",
     "enumerate_signed",
 ]
@@ -432,10 +431,6 @@ def leftmost_empty_column(m: LinOrderMatrix) -> int:
         if m.column_empty(j):
             return j + 1
     return 0
-
-
-def xi_columns(sm: SignedLOMatrix) -> int:
-    return sm.xi
 
 
 def gamma(sm: SignedLOMatrix) -> SignedLOMatrix:

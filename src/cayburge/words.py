@@ -44,6 +44,7 @@ __all__ = [
     "enumerate_ballots",
     "ballot_to_cayley",
     "cayley_to_ballot",
+    "descent_mask",
     "stat_set",
     "descent_set",
     "ascent_set",
@@ -140,17 +141,25 @@ def enumerate_ballots(n: int) -> Iterator[Ballot]:
         yield cayley_to_ballot(w)
 
 
+def descent_mask(w: Word, strict: bool = False) -> int:
+    """Bit i - 1 set for each weak (or strict) descent position i of w."""
+    mask = 0
+    for i in range(len(w) - 1):
+        if w[i] > w[i + 1] or (not strict and w[i] == w[i + 1]):
+            mask |= 1 << i
+    return mask
+
+
 def stat_set(w: Word, kind: StatKind) -> frozenset[int]:
     """Positions i (1-based, i < len(w)) where the chosen comparison holds."""
-    if kind == "weak-descent":
-        return frozenset(i for i in range(1, len(w)) if w[i - 1] >= w[i])
-    if kind == "strict-descent":
-        return frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
-    if kind == "weak-ascent":
-        return frozenset(i for i in range(1, len(w)) if w[i - 1] <= w[i])
-    if kind == "strict-ascent":
-        return frozenset(i for i in range(1, len(w)) if w[i - 1] < w[i])
-    raise ValueError(f"unknown statistic kind: {kind!r}")
+    if kind not in STAT_KINDS:
+        raise ValueError(f"unknown statistic kind: {kind!r}")
+    # a weak ascent is no strict descent, and a strict ascent no weak one
+    ascent = kind.endswith("ascent")
+    mask = descent_mask(w, strict=kind.startswith("strict") != ascent)
+    if ascent:
+        mask = ~mask
+    return frozenset(i for i in range(1, len(w)) if mask >> (i - 1) & 1)
 
 
 def descent_set(w: Word, strict: bool = False) -> frozenset[int]:
@@ -180,16 +189,7 @@ def caylerian_brute(n: int, strict: bool = False) -> IntPoly:
     """
     counts = [0] * max(1, n)
     for w in enumerate_cayley(n):
-        d = 0
-        if strict:
-            for i in range(n - 1):
-                if w[i] > w[i + 1]:
-                    d += 1
-        else:
-            for i in range(n - 1):
-                if w[i] >= w[i + 1]:
-                    d += 1
-        counts[d] += 1
+        counts[descent_mask(w, strict).bit_count()] += 1
     return IntPoly(counts)
 
 

@@ -221,6 +221,46 @@ def test_verify_bad_tail_bound(capsys):
     assert code == 2
 
 
+def test_verify_tail_bound_range(capsys):
+    for value in ("5", "0", "-1", "2/3"):
+        code, _, err = run_cli(capsys, "verify", "gf", "--max-n", "2", "--tail-bound", value)
+        assert code == 2 and "(0, 1/2]" in err, value
+
+
+def test_verify_tail_bound_reaches_certified_sums(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "gf", "--max-n", "2", "--tail-bound", "1/8", "--format", "json"
+    )
+    assert code == 0
+    bounds = {c["name"]: c["params"].get("tail_bound") for c in json.loads(out)["checks"]}
+    assert bounds["halving-sum-general"] == bounds["double-sum-binary"] == "1/8"
+    tiny = "1/" + str(2**9000)
+    code, out, _ = run_cli(
+        capsys, "verify", "gf", "--max-n", "2", "--tail-bound", tiny, "--format", "json"
+    )
+    assert code == 3
+    assert "unconverged" in {c["status"] for c in json.loads(out)["checks"]}
+
+
+def test_verify_text_shows_effective_bounds(capsys):
+    code, out, _ = run_cli(capsys, "verify", "gf", "--max-n", "8", "--max-m", "8")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "6 checks: 6 pass, 0 fail, 0 unconverged"
+    species = next(line for line in lines if " species-series-vs-counts " in line)
+    assert species.split()[:2] == ["PASS", "species-series-vs-counts"]
+    assert "[max_n=6, max_m=4]" in species
+
+
+def test_tables_grow_past_64_from_the_cli(capsys):
+    code, out, _ = run_cli(capsys, "poly", "caylerian", "--n", "70", "--unsafe-bounds")
+    assert code == 0 and len(out.split()) == 70
+    code, out, _ = run_cli(capsys, "verify", "kernel", "--max-n", "70", "--unsafe-bounds")
+    assert code == 0 and out.splitlines()[-1].endswith("3 pass, 0 fail, 0 unconverged")
+    code, _, err = run_cli(capsys, "count", "mat", "--n", "70", "--unsafe-bounds")
+    assert code == 0 and not err
+
+
 def test_oeis_bundled_fixtures(capsys):
     for seq in ("A000670", "A120733", "A101370", "A366173"):
         code, out, _ = run_cli(capsys, "oeis", seq)

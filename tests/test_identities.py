@@ -1,10 +1,12 @@
 """Closed-form counts, polynomial formulas, certified sums, check suites."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
+from cayburge import identities
 from cayburge.burge import two_sided_brute
 from cayburge.identities import (
     GENMAT_METHODS,
@@ -26,7 +28,7 @@ from cayburge.identities import (
     run_suite,
     two_sided_formula,
 )
-from cayburge.kernel import IntPoly
+from cayburge.kernel import BiPoly, IntPoly
 from cayburge.words import AscentSetSpec, beta_brute, caylerian_brute
 
 MAT = [1, 1, 5, 33, 281, 2961, 37277]
@@ -256,3 +258,85 @@ def test_check_results_carry_params():
         assert r.name and r.status in ("pass", "fail", "unconverged")
         assert isinstance(r.params, dict)
         assert r.ok == (r.status == "pass")
+
+
+def test_run_suite_reports_effective_bounds():
+    params = {r.name: r.params for r in run_suite("formulas", 8, 2)}
+    assert params["count-mat-vs-enumeration"]["max_n"] == 6
+    assert params["caylerian-formula-vs-brute"]["max_n"] == 7
+    assert params["caylerian-evaluations"]["max_n"] == 8
+    assert params["count-genmat-method-agreement"]["enum_max_m"] == 2
+
+
+def test_run_suite_clamps_every_check_to_its_caps(monkeypatch):
+    """run_suite("all", 8, 8) hands each check its bounds clamped to the
+    caps in SUITES, and no result reports a larger bound.  The enumerative
+    suites are stubbed out so that only the table is exercised there."""
+    quick = {check for suite in ("kernel", "pairing", "gf") for check, _, _ in SUITES[suite]}
+    received = {}
+    for entries in SUITES.values():
+        for check, _, _ in entries:
+
+            def record(*args, check=check, real=getattr(identities, check)):
+                results = real(*args) if check in quick else []
+                received[check] = (args, [results] if hasattr(results, "params") else results)
+                return results
+
+            monkeypatch.setattr(identities, check, record)
+    tail_bound = Fraction(1, 4)
+    run_suite("all", 8, 8, tail_bound)
+    for entries in SUITES.values():
+        for check, n_cap, m_cap in entries:
+            args, results = received[check]
+            expected = [min(8, n_cap)] + ([] if m_cap is None else [min(8, m_cap)])
+            if check in ("check_halving", "check_double_sum"):
+                expected.append(tail_bound)
+            assert list(args) == expected, check
+            for r in results:
+                assert r.params.get("max_n", 0) <= args[0], (check, r.params)
+                if m_cap is not None:
+                    assert r.params.get("max_m", 0) <= args[1], (check, r.params)
+
+
+def test_failing_route_witness_carries_every_route(monkeypatch):
+    real = identities.count_genmat
+
+    def off_by_one(m, n, binary=False, method="stirling"):
+        return real(m, n, binary=binary, method=method) + (method == "inclexcl")
+
+    monkeypatch.setattr(identities, "count_genmat", off_by_one)
+    (result,) = identities.check_count_methods(2, 1)
+    assert result.status == "fail"
+    assert set(GENMAT_METHODS) <= set(result.witness)
+    assert result.witness["inclexcl"] == result.witness["stirling"] + 1
+    json.dumps(result.witness)
+
+
+def test_polynomial_witnesses_are_json_safe(monkeypatch):
+    formula = identities.caylerian_formula
+    monkeypatch.setattr(
+        identities, "caylerian_formula", lambda n, strict=False: formula(n, strict) + IntPoly([1])
+    )
+    result = identities.check_caylerian(3)[0]
+    assert result.status == "fail"
+    assert result.witness == {"strict": False, "n": 0, "formula": [2], "brute": [1]}
+    two_sided = identities.two_sided_formula
+    monkeypatch.setattr(
+        identities,
+        "two_sided_formula",
+        lambda n, strict=False: two_sided(n, strict) + BiPoly({(0, 0): 1}),
+    )
+    result = identities.check_two_sided(2)[0]
+    assert result.status == "fail"
+    assert result.witness == {"strict": False, "n": 0, "formula": [[0, 0, 2]], "brute": [[0, 0, 1]]}
+    json.dumps([result.witness, identities.check_caylerian(3)[0].witness])
+
+
+def test_certified_checks_honour_the_tail_bound():
+    for result in run_suite("gf", 2, 1, Fraction(1, 8)):
+        if result.name.startswith(("halving", "double")):
+            assert result.status == "pass"
+            assert result.params["tail_bound"] == "1/8"
+    unconverged = identities.check_halving(2, Fraction(1, 2**9000))
+    assert [r.status for r in unconverged] == ["unconverged"] * 2
+    assert unconverged[0].witness == {"n": 0}

@@ -17,7 +17,6 @@ from cayburge.kernel import (
     ballot_block_poly,
     binomial,
     compositions,
-    ensure_tables,
     exact_div,
     fubini,
     multichoose,
@@ -88,8 +87,8 @@ def test_fubini_equals_stirling2_row():
         assert fubini(n) == sum(stirling2(n, k) * math.factorial(k) for k in range(n + 1))
 
 
-def test_ensure_tables_growth():
-    ensure_tables(70)
+def test_tables_grow_on_demand():
+    # rows past any earlier request are built when first asked for
     assert stirling2(70, 1) == 1
     assert stirling1(70, 70) == 1
 
