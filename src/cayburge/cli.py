@@ -7,6 +7,10 @@ Subcommands:
   verify      run the cross-verification suites
   oeis        compare engine values against a b-file
 
+`enumerate` writes each object as it is generated, in the requested
+format only, and refuses the flags an object does not read (ENUMERABLE).
+`oeis` takes --max-n >= 1 and at most one of --b-file and --fetch.
+
 Exit codes: 0 success, 1 a verification or comparison failed, 2 invalid
 parameters or malformed input, 3 a certified truncation did not
 converge.  Enumerative work is capped at n <= 7 and formula work at
@@ -22,6 +26,7 @@ import os
 import sys
 from fractions import Fraction
 from importlib import resources
+from itertools import chain, islice
 from pathlib import Path
 
 from . import burge, identities, lomat, words
@@ -52,14 +57,10 @@ def _render_ballot(ballot) -> str:
 
 
 def _render_mat(mat) -> str:
-    if not mat:
-        return "[]"
     return "[" + "; ".join(" ".join(str(e) for e in row) for row in mat) + "]"
 
 
 def _render_lomat(m) -> str:
-    if not m.entries:
-        return "[]"
     rows = []
     for row in m.entries:
         rows.append(" ".join(_render_word(e) if e else "." for e in row))
@@ -94,20 +95,6 @@ def _emit_record(args, obj: str, params: dict, method: str, value) -> None:
             print(value)
 
 
-def _emit_stream(args, obj: str, params: dict, text_rows: list[str], json_rows: list) -> None:
-    if args.format == "json":
-        record = {"object": obj, "params": params, "method": "enumerate", "value": json_rows}
-        print(json.dumps(record, sort_keys=True))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["value"])
-        for row in text_rows:
-            writer.writerow([row])
-    else:
-        for row in text_rows:
-            print(row)
-
-
 def _fail(message: str, code: int) -> int:
     print(message, file=sys.stderr)
     return code
@@ -117,12 +104,19 @@ def _fail(message: str, code: int) -> int:
 # argument plumbing
 
 
-def _ascent_spec(args, n: int):
-    if args.ascents is None:
-        return None
-    text = args.ascents.strip()
-    positions = tuple(int(p) for p in text.split(",")) if text else ()
-    return words.AscentSetSpec(n, positions)
+def _size_error(args, caps: dict[str, int]) -> str | None:
+    """What is wrong with the size flags named in ``caps`` (attribute name
+    -> its cap without --unsafe-bounds): missing, negative or too large."""
+    flags = {f: "--" + f.replace("_", "-") for f in caps}
+    if any(getattr(args, f) is None for f in caps):
+        return " and ".join(flags.values()) + " required"
+    for f, cap in caps.items():
+        value = getattr(args, f)
+        if value < 0:
+            return f"{flags[f]} must be nonnegative"
+        if value > cap and not args.unsafe_bounds:
+            return f"{flags[f]} {value} exceeds the bound {cap}; pass --unsafe-bounds to override"
+    return None
 
 
 def _tail_bound(text: str) -> Fraction:
@@ -151,12 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", parents=[common], help="stream objects one per line")
-    p.add_argument("object", choices=("cayley", "ballot", "burge", "mat", "genmat", "signed"))
-    p.add_argument("--n", type=int, help="size (words, burge, mat)")
+    p.add_argument("object", choices=tuple(ENUMERABLE))
+    p.add_argument("--n", type=int, help="size (cayley, ballot, burge, mat)")
     p.add_argument("--rows", type=int, help="row count (genmat, signed)")
     p.add_argument("--size", type=int, help="letter count (genmat, signed)")
-    p.add_argument("--binary", action="store_true")
-    p.add_argument("--ascents", help="comma-separated ascent positions for a row-sum filter")
+    p.add_argument("--binary", action="store_true", help="entries of size at most 1 (burge, mat, genmat)")
+    p.add_argument("--ascents", help="comma-separated ascent positions for a row-sum filter (mat, signed)")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("count", parents=[common], help="count objects")
@@ -184,8 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oeis", parents=[common], help="compare against a b-file")
     p.add_argument("sequence", choices=tuple(OEIS_VALUES))
-    p.add_argument("--b-file", help="path to a b-file (default: bundled fixture)")
-    p.add_argument("--fetch", action="store_true", help="download and cache the b-file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--b-file", help="path to a b-file (default: bundled fixture)")
+    source.add_argument("--fetch", action="store_true", help="download and cache the b-file")
     p.add_argument("--max-n", type=int, help="largest index (row, for the triangle) to compare")
     p.set_defaults(func=_cmd_oeis)
     return parser
@@ -195,68 +190,94 @@ def build_parser() -> argparse.ArgumentParser:
 # enumerate
 
 
+# object -> (the flags it reads, its generator called with those flags by
+# name (--ascents as an AscentSetSpec or None), its text line and csv cell,
+# its JSON value).  Any other enumerate flag is refused.  The lambdas look
+# the generators up at call time, so rebinding a module attribute (a test
+# double, a tracer) reaches every enumerate command.
+ENUMERABLE = {
+    "cayley": (("n",), lambda n: words.enumerate_cayley(n), _render_word, list),
+    "ballot": (
+        ("n",),
+        lambda n: words.enumerate_ballots(n),
+        _render_ballot,
+        lambda ballot: [sorted(b) for b in ballot],
+    ),
+    "burge": (
+        ("n", "binary"),
+        lambda n, binary: burge.enumerate_burge(n, binary=binary),
+        lambda bw: f"{_render_word(bw.u)}|{_render_word(bw.v)}",
+        lambda bw: {"u": list(bw.u), "v": list(bw.v)},
+    ),
+    "mat": (
+        ("n", "binary", "ascents"),
+        lambda n, binary, ascents: burge.enumerate_mat(n, binary=binary, row_sums_spec=ascents),
+        _render_mat,
+        lambda mat: [list(row) for row in mat],
+    ),
+    "genmat": (
+        ("rows", "size", "binary"),
+        lambda rows, size, binary: lomat.enumerate_genmat(rows, size, binary=binary),
+        _render_lomat,
+        _json_lomat,
+    ),
+    "signed": (
+        ("rows", "size", "ascents"),
+        lambda rows, size, ascents: lomat.enumerate_signed(rows, size, row_sums_spec=ascents),
+        _render_signed,
+        lambda sm: {"signs": list(sm.signs), "entries": _json_lomat(sm.matrix)},
+    ),
+}
+ENUM_SIZE_CAPS = {"n": ENUM_BOUND, "rows": ENUM_BOUND + 1, "size": ENUM_BOUND}
+
+
 def _cmd_enumerate(args) -> int:
     obj = args.object
-    if obj in ("cayley", "ballot", "burge", "mat"):
-        if args.n is None:
-            return _fail(f"enumerate {obj} requires --n", 2)
-        n = args.n
-        if n < 0:
-            return _fail("--n must be nonnegative", 2)
-        if n > ENUM_BOUND and not args.unsafe_bounds:
-            return _fail(f"--n {n} exceeds the enumeration bound {ENUM_BOUND}; pass --unsafe-bounds to override", 2)
-    else:
-        if args.rows is None or args.size is None:
-            return _fail(f"enumerate {obj} requires --rows and --size", 2)
-        if args.rows < 0 or args.size < 0:
-            return _fail("--rows and --size must be nonnegative", 2)
-        if (args.size > ENUM_BOUND or args.rows > ENUM_BOUND + 1) and not args.unsafe_bounds:
-            return _fail(f"size/rows exceed the enumeration bound {ENUM_BOUND}; pass --unsafe-bounds to override", 2)
+    flags, generate, text, value = ENUMERABLE[obj]
+    for flag in ("n", "rows", "size", "binary", "ascents"):
+        if flag not in flags and getattr(args, flag) not in (None, False):
+            reads = ", ".join("--" + f for f in flags)
+            return _fail(f"enumerate {obj} does not read --{flag} (it reads {reads})", 2)
+    error = _size_error(args, {f: ENUM_SIZE_CAPS[f] for f in flags if f in ENUM_SIZE_CAPS})
+    if error:
+        return _fail(f"enumerate {obj}: {error}", 2)
 
-    text_rows: list[str] = []
-    json_rows: list = []
-    params: dict = {}
+    chosen = {f: getattr(args, f) for f in flags}
     try:
-        if obj == "cayley":
-            params = {"n": args.n}
-            for w in words.enumerate_cayley(args.n):
-                text_rows.append(_render_word(w))
-                json_rows.append(list(w))
-        elif obj == "ballot":
-            params = {"n": args.n}
-            for ballot in words.enumerate_ballots(args.n):
-                text_rows.append(_render_ballot(ballot))
-                json_rows.append([sorted(b) for b in ballot])
-        elif obj == "burge":
-            params = {"n": args.n, "binary": args.binary}
-            for bw in burge.enumerate_burge(args.n, binary=args.binary):
-                text_rows.append(f"{_render_word(bw.u)}|{_render_word(bw.v)}")
-                json_rows.append({"u": list(bw.u), "v": list(bw.v)})
-        elif obj == "mat":
-            spec = _ascent_spec(args, args.n)
-            params = {"n": args.n, "binary": args.binary}
-            if spec is not None:
-                params["ascents"] = list(spec.positions)
-            for mat in burge.enumerate_mat(args.n, binary=args.binary, row_sums_spec=spec):
-                text_rows.append(_render_mat(mat))
-                json_rows.append([list(row) for row in mat])
-        elif obj == "genmat":
-            params = {"rows": args.rows, "size": args.size, "binary": args.binary}
-            for m in lomat.enumerate_genmat(args.rows, args.size, binary=args.binary):
-                text_rows.append(_render_lomat(m))
-                json_rows.append(_json_lomat(m))
-        else:
-            spec = _ascent_spec(args, args.size)
-            params = {"rows": args.rows, "size": args.size}
-            if spec is not None:
-                params["ascents"] = list(spec.positions)
-            for sm in lomat.enumerate_signed(args.rows, args.size, row_sums_spec=spec):
-                text_rows.append(_render_signed(sm))
-                json_rows.append({"signs": list(sm.signs), "entries": _json_lomat(sm.matrix)})
+        if chosen.get("ascents") is not None:  # comma-separated positions, maybe none
+            positions = tuple(int(p) for p in args.ascents.split(",")) if args.ascents.strip() else ()
+            chosen["ascents"] = words.AscentSetSpec(args.n if "n" in chosen else args.size, positions)
+        objects = generate(**chosen)
+        # a generator checks its arguments on its first step: take it
+        # before writing anything, so a bad argument leaves stdout empty
+        first = list(islice(objects, 1))
     except ValueError as exc:
         return _fail(str(exc), 2)
-    _emit_stream(args, obj, params, text_rows, json_rows)
+    params = {f: list(v.positions) if f == "ascents" else v for f, v in chosen.items() if v is not None}
+    record = {"object": obj, "params": params, "method": "enumerate"}
+    _write_stream(args.format, record, chain(first, objects), text, value)
     return 0
+
+
+def _write_stream(fmt: str, record: dict, objects, text, value) -> None:
+    """Write each object as soon as it is generated, in one format only."""
+    out = sys.stdout
+    if fmt == "json":
+        # the bytes of json.dumps(record | {"value": [...]}, sort_keys=True);
+        # "value" sorts after the other keys, so it closes the record
+        encode = json.JSONEncoder(sort_keys=True).encode
+        out.write(encode(record)[:-1] + ', "value": [')
+        sep = ""
+        for x in objects:
+            out.write(sep + encode(value(x)))
+            sep = ", "
+        out.write("]}\n")
+    elif fmt == "csv":
+        writer = csv.writer(out)
+        writer.writerow(["value"])
+        writer.writerows([text(x)] for x in objects)
+    else:
+        out.writelines(text(x) + "\n" for x in objects)
 
 
 # ---------------------------------------------------------------------------
@@ -264,48 +285,33 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    methods = identities.GENMAT_METHODS if args.object == "genmat" else identities.MAT_METHODS
+    if args.method not in methods:
+        return _fail(f"unknown method {args.method!r}; choose from {methods}", 2)
+    bound = ENUM_BOUND if args.method == "enumerate" else FORMULA_BOUND
+    caps = {"rows": FORMULA_BOUND, "size": bound} if args.object == "genmat" else {"n": bound}
+    error = _size_error(args, caps)
+    if error:
+        return _fail(f"count {args.object} --method {args.method}: {error}", 2)
     try:
         if args.object == "genmat":
-            if args.rows is None or args.size is None:
-                return _fail("count genmat requires --rows and --size", 2)
-            if args.method not in identities.GENMAT_METHODS:
-                return _fail(f"unknown method {args.method!r}; choose from {identities.GENMAT_METHODS}", 2)
-            enumerative = args.method == "enumerate"
-            bound = ENUM_BOUND if enumerative else FORMULA_BOUND
-            if (args.size > bound or args.rows > FORMULA_BOUND) and not args.unsafe_bounds:
-                return _fail(f"size/rows exceed the bound {bound} for method {args.method}; pass --unsafe-bounds to override", 2)
-            if args.rows < 0 or args.size < 0:
-                return _fail("--rows and --size must be nonnegative", 2)
             value = identities.count_genmat(args.rows, args.size, binary=args.binary, method=args.method)
-            params = {"rows": args.rows, "size": args.size, "binary": args.binary}
         else:
-            if args.n is None:
-                return _fail("count mat requires --n", 2)
-            if args.method not in identities.MAT_METHODS:
-                return _fail(f"unknown method {args.method!r}; choose from {identities.MAT_METHODS}", 2)
-            enumerative = args.method == "enumerate"
-            bound = ENUM_BOUND if enumerative else FORMULA_BOUND
-            if args.n > bound and not args.unsafe_bounds:
-                return _fail(f"--n {args.n} exceeds the bound {bound} for method {args.method}; pass --unsafe-bounds to override", 2)
-            if args.n < 0:
-                return _fail("--n must be nonnegative", 2)
             value = identities.count_mat(args.n, binary=args.binary, method=args.method)
-            params = {"n": args.n, "binary": args.binary}
     except identities.UnconvergedError as exc:
         return _fail(str(exc), 3)
     except ValueError as exc:
         return _fail(str(exc), 2)
+    params = {f: getattr(args, f) for f in caps} | {"binary": args.binary}
     _emit_record(args, args.object, params, args.method, value)
     return 0
 
 
 def _cmd_poly(args) -> int:
+    error = _size_error(args, {"n": ENUM_BOUND if args.method == "brute" else FORMULA_BOUND})
+    if error:
+        return _fail(f"poly {args.object} --method {args.method}: {error}", 2)
     n = args.n
-    if n < 0:
-        return _fail("--n must be nonnegative", 2)
-    bound = ENUM_BOUND if args.method == "brute" else FORMULA_BOUND
-    if n > bound and not args.unsafe_bounds:
-        return _fail(f"--n {n} exceeds the bound {bound} for method {args.method}; pass --unsafe-bounds to override", 2)
     params = {"n": n, "strict": args.strict}
     if args.object == "caylerian":
         if args.method == "brute":
@@ -328,13 +334,9 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if (args.max_n > VERIFY_BOUND_N or args.max_m > VERIFY_BOUND_M) and not args.unsafe_bounds:
-        return _fail(
-            f"--max-n/--max-m exceed the verify bounds ({VERIFY_BOUND_N}, {VERIFY_BOUND_M}); pass --unsafe-bounds to override",
-            2,
-        )
-    if args.max_n < 0 or args.max_m < 0:
-        return _fail("--max-n and --max-m must be nonnegative", 2)
+    error = _size_error(args, {"max_n": VERIFY_BOUND_N, "max_m": VERIFY_BOUND_M})
+    if error:
+        return _fail(f"verify: {error}", 2)
     try:
         results = identities.run_suite(args.suite, args.max_n, args.max_m, args.tail_bound)
     except identities.UnconvergedError as exc:
@@ -442,6 +444,8 @@ def _cmd_oeis(args) -> int:
     value_of, default_bound = OEIS_VALUES[args.sequence]
     is_triangle = args.sequence == "A366173"
     bound = args.max_n if args.max_n is not None else default_bound
+    if bound < 1:
+        return _fail(f"--max-n must be at least 1, got {bound}", 2)
     if bound > default_bound and not args.unsafe_bounds:
         return _fail(f"--max-n {bound} exceeds the bound {default_bound}; pass --unsafe-bounds to override", 2)
     max_index = bound * (bound + 1) // 2 if is_triangle else bound
@@ -470,13 +474,7 @@ def _cmd_oeis(args) -> int:
         checked += 1
     summary = {"checked": checked, "max_index": max_index, "status": "ok"}
     if args.format == "json":
-        record = {
-            "object": args.sequence,
-            "params": {"max_n": bound},
-            "method": "fixture-compare",
-            "value": summary,
-        }
-        print(json.dumps(record, sort_keys=True))
+        _emit_record(args, args.sequence, {"max_n": bound}, "fixture-compare", summary)
     else:
         print(f"{args.sequence}: {checked} values agree (indices <= {max_index})")
     return 0

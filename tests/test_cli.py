@@ -1,9 +1,12 @@
 """Command line interface: output formats, bounds, exit codes, fixtures."""
 
+import io
 import json
+import sys
 
 import pytest
 
+from cayburge import words
 from cayburge.cli import main, parse_bfile
 
 
@@ -154,6 +157,128 @@ def test_enumerate_json_stream(capsys):
     assert record["value"] == [[1, 1], [1, 2], [2, 1]]
 
 
+# Exact stdout of small enumerate commands: the text lines and the JSON
+# record.  The csv output is a "value" header and one row per text line,
+# quoted where the line holds a comma.
+PINNED = {
+    "cayley --n 2": (
+        ["11", "12", "21"],
+        '{"method": "enumerate", "object": "cayley", "params": {"n": 2}, "value": [[1, 1], [1, 2], [2, 1]]}',
+    ),
+    "ballot --n 2": (
+        ["{1,2}", "{1}{2}", "{2}{1}"],
+        '{"method": "enumerate", "object": "ballot", "params": {"n": 2}, '
+        '"value": [[[1, 2]], [[1], [2]], [[2], [1]]]}',
+    ),
+    "burge --n 2": (
+        ["11|11", "11|21", "12|11", "12|12", "12|21"],
+        '{"method": "enumerate", "object": "burge", "params": {"binary": false, "n": 2}, '
+        '"value": [{"u": [1, 1], "v": [1, 1]}, {"u": [1, 1], "v": [2, 1]}, {"u": [1, 2], "v": [1, 1]}, '
+        '{"u": [1, 2], "v": [1, 2]}, {"u": [1, 2], "v": [2, 1]}]}',
+    ),
+    "mat --n 2": (
+        ["[2]", "[1 1]", "[1; 1]", "[1 0; 0 1]", "[0 1; 1 0]"],
+        '{"method": "enumerate", "object": "mat", "params": {"binary": false, "n": 2}, '
+        '"value": [[[2]], [[1, 1]], [[1], [1]], [[1, 0], [0, 1]], [[0, 1], [1, 0]]]}',
+    ),
+    "mat --n 3 --ascents 1": (
+        ["[1; 2]", "[1 0; 1 1]", "[1 0; 0 2]", "[1 0 0; 0 1 1]", "[0 1; 2 0]", "[0 1; 1 1]",
+         "[0 1 0; 1 0 1]", "[0 0 1; 1 1 0]"],
+        '{"method": "enumerate", "object": "mat", "params": {"ascents": [1], "binary": false, "n": 3}, '
+        '"value": [[[1], [2]], [[1, 0], [1, 1]], [[1, 0], [0, 2]], [[1, 0, 0], [0, 1, 1]], [[0, 1], [2, 0]], '
+        '[[0, 1], [1, 1]], [[0, 1, 0], [1, 0, 1]], [[0, 0, 1], [1, 1, 0]]]}',
+    ),
+    "genmat --rows 2 --size 2": (
+        ["[12; .]", "[1; 2]", "[.; 12]", "[1 2; . .]", "[1 .; . 2]", "[. 2; 1 .]", "[. .; 1 2]"],
+        '{"method": "enumerate", "object": "genmat", "params": {"binary": false, "rows": 2, "size": 2}, '
+        '"value": [[[[1, 2]], [[]]], [[[1]], [[2]]], [[[]], [[1, 2]]], [[[1], [2]], [[], []]], '
+        '[[[1], []], [[], [2]]], [[[], [2]], [[1], []]], [[[], []], [[1], [2]]]]}',
+    ),
+    "signed --rows 1 --size 2": (
+        ["signs=+ [12]", "signs=++ [12 .]", "signs=+- [12 .]", "signs=++ [1 2]", "signs=++ [. 12]",
+         "signs=-+ [. 12]"],
+        '{"method": "enumerate", "object": "signed", "params": {"rows": 1, "size": 2}, '
+        '"value": [{"entries": [[[1, 2]]], "signs": [1]}, {"entries": [[[1, 2], []]], "signs": [1, 1]}, '
+        '{"entries": [[[1, 2], []]], "signs": [1, -1]}, {"entries": [[[1], [2]]], "signs": [1, 1]}, '
+        '{"entries": [[[], [1, 2]]], "signs": [1, 1]}, {"entries": [[[], [1, 2]]], "signs": [-1, 1]}]}',
+    ),
+    "signed --rows 2 --size 2 --ascents 1": (
+        ["signs=+ [1; 2]", "signs=++ [1 .; 2 .]", "signs=+- [1 .; 2 .]", "signs=++ [1 .; . 2]",
+         "signs=++ [. 2; 1 .]", "signs=++ [. 1; . 2]", "signs=-+ [. 1; . 2]"],
+        '{"method": "enumerate", "object": "signed", "params": {"ascents": [1], "rows": 2, "size": 2}, '
+        '"value": [{"entries": [[[1]], [[2]]], "signs": [1]}, {"entries": [[[1], []], [[2], []]], "signs": [1, 1]}, '
+        '{"entries": [[[1], []], [[2], []]], "signs": [1, -1]}, {"entries": [[[1], []], [[], [2]]], "signs": [1, 1]}, '
+        '{"entries": [[[], [2]], [[1], []]], "signs": [1, 1]}, {"entries": [[[], [1]], [[], [2]]], "signs": [1, 1]}, '
+        '{"entries": [[[], [1]], [[], [2]]], "signs": [-1, 1]}]}',
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("command", list(PINNED))
+def test_enumerate_pinned_output(capsys, command, fmt):
+    lines, record = PINNED[command]
+    expected = {
+        "text": "".join(line + "\n" for line in lines),
+        "csv": "value\r\n" + "".join((f'"{line}"' if "," in line else line) + "\r\n" for line in lines),
+        "json": record + "\n",
+    }[fmt]
+    code, out, err = run_cli(capsys, "enumerate", *command.split(), "--format", fmt)
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "fmt, first",
+    [("text", "12\n"), ("csv", "value\r\n12\r\n"), ("json", '"value": [[1, 2]')],
+    ids=["text", "csv", "json"],
+)
+def test_enumerate_writes_each_object_as_it_is_generated(monkeypatch, fmt, first):
+    out = io.StringIO()
+    written_before_second = []
+
+    def two_words(n):
+        yield (1, 2)
+        written_before_second.append(out.getvalue())
+        yield (2, 1)
+
+    monkeypatch.setattr(words, "enumerate_cayley", two_words)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["enumerate", "cayley", "--n", "2", "--format", fmt]) == 0
+    assert written_before_second[0].endswith(first)
+    assert out.getvalue().startswith(written_before_second[0])
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_enumerate_lazy_argument_error_leaves_stdout_empty(capsys, fmt):
+    # enumerate_signed checks the ascent composition against the row
+    # count only when it is first advanced
+    code, out, err = run_cli(
+        capsys, "enumerate", "signed", "--rows", "2", "--size", "4", "--ascents", "1,2", "--format", fmt
+    )
+    assert code == 2 and out == "" and err
+
+
+@pytest.mark.parametrize(
+    "command, unread",
+    [
+        ("cayley --n 2", "--binary"),
+        ("cayley --n 2", "--rows 3"),
+        ("ballot --n 2", "--ascents 1"),
+        ("burge --n 2", "--size 2"),
+        ("mat --n 2", "--rows 2"),
+        ("genmat --rows 2 --size 2", "--ascents 1"),
+        ("genmat --rows 2 --size 2", "--n 2"),
+        ("signed --rows 1 --size 2", "--binary"),
+    ],
+)
+def test_enumerate_refuses_flags_the_object_does_not_read(capsys, command, unread):
+    code, _, _ = run_cli(capsys, "enumerate", *command.split())
+    assert code == 0
+    code, out, err = run_cli(capsys, "enumerate", *command.split(), *unread.split())
+    assert code == 2 and out == ""
+    assert f"does not read {unread.split()[0]}" in err
+
+
 def test_bounds_rejected_then_overridden(capsys):
     code, _, err = run_cli(capsys, "enumerate", "cayley", "--n", "9")
     assert code == 2 and "unsafe-bounds" in err
@@ -295,6 +420,23 @@ def test_oeis_malformed_bfile(tmp_path, capsys):
 def test_oeis_bound(capsys):
     code, _, err = run_cli(capsys, "oeis", "A000670", "--max-n", "13")
     assert code == 2
+
+
+@pytest.mark.parametrize("sequence, max_n", [("A366173", "-3"), ("A000670", "-1"), ("A120733", "0")])
+def test_oeis_max_n_below_one_rejected(capsys, sequence, max_n):
+    code, out, err = run_cli(capsys, "oeis", sequence, "--max-n", max_n)
+    assert code == 2 and out == ""
+    assert "--max-n must be at least 1" in err
+
+
+def test_oeis_b_file_and_fetch_are_exclusive(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CAYBURGE_CACHE_DIR", str(tmp_path / "cache"))
+    bfile = tmp_path / "b000670.txt"
+    bfile.write_text("0 1\n1 1\n2 3\n")
+    code, out, err = run_cli(capsys, "oeis", "A000670", "--b-file", str(bfile), "--fetch")
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
+    assert not (tmp_path / "cache").exists()
 
 
 def test_parse_bfile():
