@@ -8,12 +8,14 @@ Subcommands:
   oeis        compare engine values against a b-file
 
 `enumerate` writes each object as it is generated, in the requested
-format only, and refuses the flags an object does not read (ENUMERABLE).
-`oeis` takes --max-n >= 1 and at most one of --b-file and --fetch.
+format only.  `enumerate` and `count` refuse the flags their object does
+not read.  `oeis` takes --max-n >= 1 and at most one of --b-file and
+--fetch.
 
 Exit codes: 0 success, 1 a verification or comparison failed, 2 invalid
 parameters or malformed input, 3 a certified truncation did not
-converge.  Enumerative work is capped at n <= 7 and formula work at
+converge, 141 the reader closed standard output early (as `| head`
+does).  Enumerative work is capped at n <= 7 and formula work at
 n <= 12 unless --unsafe-bounds is given.
 """
 
@@ -116,6 +118,16 @@ def _size_error(args, caps: dict[str, int]) -> str | None:
             return f"{flags[f]} must be nonnegative"
         if value > cap and not args.unsafe_bounds:
             return f"{flags[f]} {value} exceeds the bound {cap}; pass --unsafe-bounds to override"
+    return None
+
+
+def _unread_error(args, reads: tuple[str, ...]) -> str | None:
+    """The refusal of the first object flag given although the chosen
+    object reads only ``reads``."""
+    for flag in ("n", "rows", "size", "binary", "ascents"):
+        if flag not in reads and getattr(args, flag, None) not in (None, False):
+            listed = ", ".join("--" + f for f in reads)
+            return f"{args.command} {args.object} does not read --{flag} (it reads {listed})"
     return None
 
 
@@ -234,10 +246,9 @@ ENUM_SIZE_CAPS = {"n": ENUM_BOUND, "rows": ENUM_BOUND + 1, "size": ENUM_BOUND}
 def _cmd_enumerate(args) -> int:
     obj = args.object
     flags, generate, text, value = ENUMERABLE[obj]
-    for flag in ("n", "rows", "size", "binary", "ascents"):
-        if flag not in flags and getattr(args, flag) not in (None, False):
-            reads = ", ".join("--" + f for f in flags)
-            return _fail(f"enumerate {obj} does not read --{flag} (it reads {reads})", 2)
+    error = _unread_error(args, flags)
+    if error:
+        return _fail(error, 2)
     error = _size_error(args, {f: ENUM_SIZE_CAPS[f] for f in flags if f in ENUM_SIZE_CAPS})
     if error:
         return _fail(f"enumerate {obj}: {error}", 2)
@@ -290,6 +301,9 @@ def _cmd_count(args) -> int:
         return _fail(f"unknown method {args.method!r}; choose from {methods}", 2)
     bound = ENUM_BOUND if args.method == "enumerate" else FORMULA_BOUND
     caps = {"rows": FORMULA_BOUND, "size": bound} if args.object == "genmat" else {"n": bound}
+    error = _unread_error(args, (*caps, "binary"))
+    if error:
+        return _fail(error, 2)
     error = _size_error(args, caps)
     if error:
         return _fail(f"count {args.object} --method {args.method}: {error}", 2)
@@ -493,7 +507,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+    except BrokenPipeError:
+        # the reader is gone: send what is left to devnull, so the
+        # interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

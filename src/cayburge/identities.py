@@ -608,7 +608,7 @@ def check_tau(max_n: int, max_m: int) -> list[CheckResult]:
             sign = lomat.xi_atoms(structure)
             signed_total += sign
             image = lomat.tau(structure)
-            short_entries = all(len(e) <= 1 for row in structure.entries for e in row)
+            short_entries = all(length <= 1 for row in structure.grid for length in row)
             if (image == structure) != short_entries:
                 prop_failures.append({"m": m, "n": n, "bad": "fixed-point set"})
                 continue

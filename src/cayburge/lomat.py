@@ -8,7 +8,9 @@ column by column, top to bottom, concatenates to a permutation prod(M).
 ``Genmat`` matrices are the normalized ones with prod(M) = 12..n; they
 are equivalent to integer matrices of entry lengths with no zero
 column.  Any structure factors uniquely as act(w, A) with A normalized
-and w = prod(M).
+and w = prod(M).  A ``LinOrderMatrix`` stores just that pair: the word
+prod(M) and the grid of entry lengths, which fixes A; the nested
+entries are derived from them.
 
 An atom is a word whose only left-to-right minimum is its first letter.
 Splitting every entry at its left-to-right minima and remembering, for
@@ -27,7 +29,9 @@ off their fixed-point sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
 from .kernel import compositions, weak_compositions
@@ -61,83 +65,89 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinOrderMatrix:
-    """Rectangular matrix of words; ``entries[i][j]`` is row i, column j."""
+    """Matrix of words stored as ``word`` = prod(M) and ``grid``, where
+    ``grid[i][j]`` is the length of the entry in row i, column j.
 
-    entries: tuple[tuple[Word, ...], ...]
-    size: int = field(init=False, compare=False, repr=False)
+    ``LinOrderMatrix(entries)``, with no grid, builds the structure from
+    its nested entries instead; ``entries[i][j]`` is row i, column j.
+    """
+
+    word: Word
+    grid: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "size", sum(len(e) for row in self.entries for e in row)
-        )
+        entries = None
+        if self.grid is None:  # the one argument was the nested entries
+            entries = self.word
+            object.__setattr__(self, "grid", tuple([tuple(map(len, row)) for row in entries]))
+        if len(set(map(len, self.grid))) > 1:
+            raise ValueError("ragged matrix")
+        if entries is not None:
+            letters = chain.from_iterable(chain.from_iterable(zip(*entries)))  # prod order
+            object.__setattr__(self, "word", tuple(letters))
+            self.__dict__["entries"] = entries
+        elif sum(map(sum, self.grid)) != len(self.word):
+            raise ValueError(f"entry lengths do not add up to the {len(self.word)} letters")
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Word, ...], ...]:
+        cells, rows = _cells(self), self.rows
+        return tuple(tuple(cells[i::rows]) for i in range(rows))
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.grid)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.grid[0]) if self.grid else 0
 
     def column_empty(self, j: int) -> bool:
-        return all(not row[j] for row in self.entries)
-
-    def row_empty(self, i: int) -> bool:
-        return all(not e for e in self.entries[i])
+        return all(not row[j] for row in self.grid)
 
     def has_empty_row(self) -> bool:
-        return any(self.row_empty(i) for i in range(self.rows))
+        return not all(map(any, self.grid))
 
     def is_normalized(self) -> bool:
-        return prod(self) == tuple(range(1, self.size + 1))
+        return self.word == tuple(range(1, len(self.word) + 1))
 
     def validate(self, allow_empty_columns: bool = False) -> None:
-        """Raise ValueError unless the letters tile {1..size} as required."""
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-        seen: set[int] = set()
-        for row in self.entries:
-            for e in row:
-                for c in e:
-                    if c in seen:
-                        raise ValueError(f"letter {c} repeated")
-                    seen.add(c)
-        if seen != set(range(1, self.size + 1)):
-            raise ValueError("letters do not form an initial segment 1..n")
+        """Raise ValueError unless the letters tile {1..n} as required."""
+        if sorted(self.word) != list(range(1, len(self.word) + 1)):
+            raise ValueError("the letters are not 1..n, each once")
         if not allow_empty_columns:
             for j in range(self.cols):
                 if self.column_empty(j):
                     raise ValueError(f"column {j + 1} is empty")
 
 
+def _lengths(m: LinOrderMatrix) -> Iterator[int]:
+    """Entry lengths in prod order: column by column, top to bottom."""
+    return chain.from_iterable(zip(*m.grid))
+
+
+def _cells(m: LinOrderMatrix) -> list[Word]:
+    """The entries in prod order, cut from m.word; entry (i, j) is at
+    index j * m.rows + i."""
+    lengths = list(_lengths(m))
+    return [m.word[end - k : end] for k, end in zip(lengths, accumulate(lengths))]
+
+
 def prod(m: LinOrderMatrix) -> Word:
     """Concatenation of all entries, column by column, top to bottom."""
-    out: list[int] = []
-    for j in range(m.cols):
-        for row in m.entries:
-            out.extend(row[j])
-    return tuple(out)
+    return m.word
 
 
 def act(w: Word, m: LinOrderMatrix) -> LinOrderMatrix:
-    """Replace every letter c by w(c).  Needs len(w) == m.size."""
-    if len(w) != m.size:
-        raise ValueError(f"word of length {len(w)} cannot act on size {m.size}")
-    return LinOrderMatrix(
-        tuple(
-            tuple(tuple(w[c - 1] for c in e) for e in row) for row in m.entries
-        )
-    )
+    """Replace every letter c by w(c).  Needs len(w) == len(prod(m))."""
+    if len(w) != len(m.word):
+        raise ValueError(f"word of length {len(w)} cannot act on size {len(m.word)}")
+    return LinOrderMatrix(tuple(w[c - 1] for c in m.word), m.grid)
 
 
 def factor_action(m: LinOrderMatrix) -> tuple[Word, LinOrderMatrix]:
     """Unique (w, A) with A normalized and act(w, A) == m; w is prod(m)."""
-    w = prod(m)
-    inv = [0] * len(w)
-    for i, v in enumerate(w, start=1):
-        inv[v - 1] = i
-    return w, act(tuple(inv), m)
+    return m.word, LinOrderMatrix(tuple(range(1, len(m.word) + 1)), m.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -159,28 +169,23 @@ def split_atoms(word: Word) -> list[Word]:
 
 def atoms(m: LinOrderMatrix) -> list[Word]:
     """All atoms of all entries, in prod order."""
-    out: list[Word] = []
-    for j in range(m.cols):
-        for row in m.entries:
-            out.extend(split_atoms(row[j]))
-    return out
+    return [a for e in _cells(m) for a in split_atoms(e)]
 
 
 def atom_count(m: LinOrderMatrix) -> int:
-    total = 0
-    for row in m.entries:
-        for e in row:
-            lo = None
-            for c in e:
-                if lo is None or c < lo:
-                    total += 1
-                    lo = c
+    """Number of left-to-right minima, counted within each entry."""
+    starts = set(accumulate(_lengths(m), initial=0))
+    total = lo = 0
+    for p, c in enumerate(m.word):
+        if p in starts or c < lo:  # the first letter of an entry, or a new minimum
+            total += 1
+            lo = c
     return total
 
 
 def xi_atoms(m: LinOrderMatrix) -> int:
     """Sign (-1)^(size - number of atoms)."""
-    return -1 if (m.size - atom_count(m)) % 2 else 1
+    return -1 if (len(m.word) - atom_count(m)) % 2 else 1
 
 
 def tau(m: LinOrderMatrix) -> LinOrderMatrix:
@@ -189,14 +194,11 @@ def tau(m: LinOrderMatrix) -> LinOrderMatrix:
     Entries are scanned in prod order; matrices whose entries all have
     length <= 1 are fixed.  Off the fixed set this flips xi_atoms.
     """
-    entries = m.entries
-    for j in range(m.cols):
-        for i in range(m.rows):
-            e = entries[i][j]
-            if len(e) >= 2:
-                swapped = (e[1], e[0]) + e[2:]
-                new_row = entries[i][:j] + (swapped,) + entries[i][j + 1 :]
-                return LinOrderMatrix(entries[:i] + (new_row,) + entries[i + 1 :])
+    w, pos = m.word, 0
+    for length in _lengths(m):
+        if length >= 2:
+            return LinOrderMatrix(w[:pos] + (w[pos + 1], w[pos]) + w[pos + 2 :], m.grid)
+        pos += length
     return m
 
 
@@ -205,7 +207,7 @@ def tau(m: LinOrderMatrix) -> LinOrderMatrix:
 
 
 def length_grid(m: LinOrderMatrix) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(len(e) for e in row) for row in m.entries)
+    return m.grid
 
 
 def from_length_grid(grid: Sequence[Sequence[int]]) -> LinOrderMatrix:
@@ -214,18 +216,10 @@ def from_length_grid(grid: Sequence[Sequence[int]]) -> LinOrderMatrix:
     Letters 1..n are dealt out column by column, top to bottom, so the
     result satisfies prod(M) = 12..n.
     """
-    rows = len(grid)
-    cols = len(grid[0]) if rows else 0
-    cells: list[list[Word]] = [[() for _ in range(cols)] for _ in range(rows)]
-    nxt = 1
-    for j in range(cols):
-        for i in range(rows):
-            length = grid[i][j]
-            if length < 0:
-                raise ValueError("negative entry length")
-            cells[i][j] = tuple(range(nxt, nxt + length))
-            nxt += length
-    return LinOrderMatrix(tuple(tuple(row) for row in cells))
+    grid = tuple(map(tuple, grid))
+    if any(length < 0 for row in grid for length in row):
+        raise ValueError("negative entry length")
+    return LinOrderMatrix(tuple(range(1, sum(map(sum, grid)) + 1)), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -265,27 +259,21 @@ def to_atom_ballot(m: LinOrderMatrix, row_mode: str = "color") -> AtomBallot:
     """
     if row_mode not in ("color", "ballot"):
         raise ValueError(f"unknown row_mode {row_mode!r}")
-    columns = []
-    for j in range(m.cols):
-        block: set[Word] = set()
-        for row in m.entries:
-            block.update(split_atoms(row[j]))
-        columns.append(frozenset(block))
+    columns: list[set[Word]] = [set() for _ in range(m.cols)]
+    rows: list[set[Word]] = [set() for _ in range(m.rows)]
+    for k, e in enumerate(_cells(m)):
+        j, i = divmod(k, m.rows)
+        cut = split_atoms(e)
+        columns[j].update(cut)
+        rows[i].update(cut)
+    blocks = tuple(map(frozenset, columns))
     if row_mode == "color":
-        pairs: list[tuple[Word, int]] = []
-        for i, row in enumerate(m.entries, start=1):
-            for e in row:
-                pairs.extend((a, i) for a in split_atoms(e))
-        return AtomBallot(tuple(columns), colors=tuple(sorted(pairs)))
-    rows = []
-    for i in range(m.rows):
-        block = set()
-        for e in m.entries[i]:
-            block.update(split_atoms(e))
-        if not block:
-            raise ValueError(f"row {i + 1} is empty; ballot row mode needs nonempty rows")
-        rows.append(frozenset(block))
-    return AtomBallot(tuple(columns), rows=tuple(rows))
+        pairs = sorted((a, i) for i, row in enumerate(rows, start=1) for a in row)
+        return AtomBallot(blocks, colors=tuple(pairs))
+    for i, row in enumerate(rows, start=1):
+        if not row:
+            raise ValueError(f"row {i} is empty; ballot row mode needs nonempty rows")
+    return AtomBallot(blocks, rows=tuple(map(frozenset, rows)))
 
 
 def from_atom_ballot(ballot: AtomBallot, m: int | None = None) -> LinOrderMatrix:
@@ -312,7 +300,7 @@ def from_atom_ballot(ballot: AtomBallot, m: int | None = None) -> LinOrderMatrix
         row: list[Word] = []
         for block in ballot.columns:
             picked = sorted(row_atoms(i, block), key=lambda a: -a[0])
-            row.append(tuple(itertools.chain.from_iterable(picked)))
+            row.append(tuple(chain.from_iterable(picked)))
         cells.append(row)
     return LinOrderMatrix(tuple(tuple(row) for row in cells))
 
@@ -385,9 +373,6 @@ def enumerate_mat_normalized(n: int, binary: bool = False) -> Iterator[LinOrderM
     number of rows; their length grids are exactly the Burge matrices."""
     from .burge import enumerate_mat
 
-    if n == 0:
-        yield LinOrderMatrix(())
-        return
     for grid in enumerate_mat(n, binary=binary):
         yield from_length_grid(grid)
 
@@ -427,10 +412,7 @@ class SignedLOMatrix:
 def leftmost_empty_column(m: LinOrderMatrix) -> int:
     """1-based index of the first empty column, or 0 if every column is
     nonempty."""
-    for j in range(m.cols):
-        if m.column_empty(j):
-            return j + 1
-    return 0
+    return next((j + 1 for j in range(m.cols) if m.column_empty(j)), 0)
 
 
 def gamma(sm: SignedLOMatrix) -> SignedLOMatrix:
@@ -471,12 +453,7 @@ def enumerate_signed(
             grid = [[flat[j * m + i] for j in range(k)] for i in range(m)]
             if want is not None and tuple(sum(row) for row in grid) != want:
                 continue
-            base = from_length_grid(grid) if m else LinOrderMatrix(())
-            if m == 0 and k:
-                continue  # no rows means no way to fill a column
-            empty_cols = [j for j in range(k) if all(grid[i][j] == 0 for i in range(m))]
-            for flips in itertools.product((1, -1), repeat=len(empty_cols)):
-                signs = [1] * k
-                for j, s in zip(empty_cols, flips):
-                    signs[j] = s
-                yield SignedLOMatrix(base, tuple(signs))
+            base = from_length_grid(grid)
+            choices = [(1,) if any(column) else (1, -1) for column in zip(*grid)]
+            for signs in itertools.product(*choices):
+                yield SignedLOMatrix(base, signs)

@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cayburge
 from cayburge import words
 from cayburge.cli import main, parse_bfile
 
@@ -277,6 +281,48 @@ def test_enumerate_refuses_flags_the_object_does_not_read(capsys, command, unrea
     code, out, err = run_cli(capsys, "enumerate", *command.split(), *unread.split())
     assert code == 2 and out == ""
     assert f"does not read {unread.split()[0]}" in err
+
+
+@pytest.mark.parametrize(
+    "command, unread",
+    [
+        ("mat --n 3", "--rows 9"),
+        ("mat --n 3", "--size 4"),
+        ("genmat --rows 2 --size 2", "--n 3"),
+    ],
+)
+def test_count_refuses_flags_the_object_does_not_read(capsys, command, unread):
+    code, _, _ = run_cli(capsys, "count", *command.split())
+    assert code == 0
+    code, out, err = run_cli(capsys, "count", *command.split(), *unread.split())
+    assert code == 2 and out == ""
+    assert f"count {command.split()[0]} does not read {unread.split()[0]}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        # more output than a pipe holds: the writer meets the closed pipe mid-stream
+        (["enumerate", "cayley", "--n", "7"], 1),
+        # a few lines, printed after the reader has gone
+        (["verify", "kernel", "--max-n", "2"], 0),
+    ],
+)
+def test_closed_stdout_pipe_exits_141_without_traceback(argv, lines_read):
+    paths = [str(Path(cayburge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cayburge.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_bounds_rejected_then_overridden(capsys):

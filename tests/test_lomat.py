@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cayburge.burge import enumerate_mat
 from cayburge.lomat import (
@@ -284,3 +285,82 @@ def test_signed_row_filter():
         list(enumerate_signed(2, 3, row_sums_spec=spec))
     with pytest.raises(ValueError):
         list(enumerate_signed(3, 2, row_sums_spec=spec))
+
+
+# ---------------------------------------------------------------------------
+# differential test against a nested-entries model
+
+
+def _deal(grid, w):
+    """Nested entries: w dealt out column by column, top to bottom."""
+    cells = [[()] * (len(grid[0]) if grid else 0) for _ in grid]
+    pos = 0
+    for j in range(len(cells[0]) if cells else 0):
+        for i, row in enumerate(grid):
+            cells[i][j] = tuple(w[pos : pos + row[j]])
+            pos += row[j]
+    return tuple(map(tuple, cells))
+
+
+def _in_prod_order(entries):
+    return [row[j] for j in range(len(entries[0]) if entries else 0) for row in entries]
+
+
+def _model_atoms(entries):
+    out = []
+    for e in _in_prod_order(entries):
+        start = len(out)
+        for c in e:
+            if len(out) == start or c < out[-1][0]:
+                out.append((c,))
+            else:
+                out[-1] += (c,)
+    return out
+
+
+def _model_tau(entries):
+    for j in range(len(entries[0]) if entries else 0):
+        for i, row in enumerate(entries):
+            e = row[j]
+            if len(e) >= 2:
+                new_row = row[:j] + ((e[1], e[0]) + e[2:],) + row[j + 1 :]
+                return entries[:i] + (new_row,) + entries[i + 1 :]
+    return entries
+
+
+@st.composite
+def grid_and_word(draw):
+    """A length grid with at most 3 rows and 6 letters, and a permutation."""
+    m = draw(st.integers(0, 3))
+    k = draw(st.integers(0, 4)) if m else 0
+    n = draw(st.integers(0, 6)) if m and k else 0
+    inner = max(m * k - 1, 0)  # cut 0..n into m * k consecutive pieces
+    cuts = draw(st.lists(st.integers(0, n), min_size=inner, max_size=inner))
+    bounds = [0, *sorted(cuts), n]
+    flat = [b - a for a, b in zip(bounds, bounds[1:])]  # column-major cell lengths
+    grid = tuple(tuple(flat[j * m + i] for j in range(k)) for i in range(m))
+    return grid, tuple(draw(st.permutations(range(1, n + 1))))
+
+
+@given(grid_and_word())
+def test_word_and_grid_agree_with_nested_entries(drawn):
+    grid, w = drawn
+    n = len(w)
+    identity = tuple(range(1, n + 1))
+    base = from_length_grid(grid)
+    mat = act(w, base)
+    nested = _deal(grid, w)
+    assert base.entries == _deal(grid, identity)
+    assert mat.entries == nested
+    assert tuple(c for e in _in_prod_order(nested) for c in e) == prod(mat) == w
+    assert length_grid(mat) == tuple(tuple(map(len, row)) for row in nested) == grid
+    assert factor_action(mat) == (w, base)
+    assert LinOrderMatrix(nested) == mat and hash(LinOrderMatrix(nested)) == hash(mat)
+    assert LinOrderMatrix(mat.entries) == mat
+    assert tau(mat).entries == _model_tau(nested)
+    assert tau(mat) == LinOrderMatrix(_model_tau(nested))
+    model_atoms = _model_atoms(nested)
+    assert atoms(mat) == model_atoms and atom_count(mat) == len(model_atoms)
+    assert xi_atoms(mat) == (-1) ** (n - len(model_atoms))
+    acted = tuple(tuple(tuple(w[c - 1] for c in e) for e in row) for row in base.entries)
+    assert acted == nested
