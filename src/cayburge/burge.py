@@ -10,7 +10,9 @@ v, which is the same as capping the matrix entries at 1.
 
 Since u is weakly increasing it is 1^a1 2^a2 ... r^ar for a composition
 (a1..ar) of n, so u ranges over compositions; enumeration below exploits
-that, plus bitmask subset tests for the descent condition.
+that, plus bitmask subset tests for the descent condition.  The row sums
+of the matrix are (a1..ar), so the matrices with given row sums are
+generated from their one u alone.
 """
 
 from __future__ import annotations
@@ -145,17 +147,26 @@ def enumerate_mat(
     """All (binary) Burge matrices of size n, via the biword bijection.
 
     With ``row_sums_spec`` only matrices whose row-sum vector equals the
-    spec's delta composition are produced.
+    spec's delta composition are produced.  Row sums are the letter
+    multiplicities of u, so those come from the one u = 1^delta1 2^delta2
+    ... and the words v it admits, in the order of the unfiltered stream.
     """
-    if row_sums_spec is not None and row_sums_spec.n != n:
+    if row_sums_spec is None:
+        biwords = enumerate_burge(n, binary=binary)
+    elif row_sums_spec.n != n:
         raise ValueError(
             f"row-sum spec is for size {row_sums_spec.n}, matrices have size {n}"
         )
-    want = row_sums_spec.delta if row_sums_spec is not None else None
-    for bw in enumerate_burge(n, binary=binary):
-        mat = word_to_matrix(bw)
-        if want is None or row_sums(mat) == want:
-            yield mat
+    else:
+        u = tuple(i for i, d in enumerate(row_sums_spec.delta, start=1) for _ in range(d))
+        umask = descent_mask(u, strict=False)
+        biwords = (
+            BurgeWord(u, v)
+            for v in enumerate_cayley(n)
+            if umask & ~descent_mask(v, strict=binary) == 0
+        )
+    for bw in biwords:
+        yield word_to_matrix(bw)
 
 
 def two_sided_brute(n: int, binary: bool = False) -> BiPoly:

@@ -259,13 +259,15 @@ def to_atom_ballot(m: LinOrderMatrix, row_mode: str = "color") -> AtomBallot:
     """
     if row_mode not in ("color", "ballot"):
         raise ValueError(f"unknown row_mode {row_mode!r}")
+    height = m.rows
     columns: list[set[Word]] = [set() for _ in range(m.cols)]
-    rows: list[set[Word]] = [set() for _ in range(m.rows)]
+    rows: list[set[Word]] = [set() for _ in range(height)]
     for k, e in enumerate(_cells(m)):
-        j, i = divmod(k, m.rows)
-        cut = split_atoms(e)
-        columns[j].update(cut)
-        rows[i].update(cut)
+        if e:
+            j, i = divmod(k, height)
+            cut = split_atoms(e)
+            columns[j].update(cut)
+            rows[i].update(cut)
     blocks = tuple(map(frozenset, columns))
     if row_mode == "color":
         pairs = sorted((a, i) for i, row in enumerate(rows, start=1) for a in row)
@@ -283,26 +285,29 @@ def from_atom_ballot(ballot: AtomBallot, m: int | None = None) -> LinOrderMatrix
     That order is forced: an atom's letters all exceed its first letter,
     so decreasing first letters is the one arrangement whose
     left-to-right minima split the entry back into the same atoms.
+    Raises ValueError unless each atom of the blocks has exactly one row.
     """
     if ballot.colors is not None:
         if m is None:
             raise ValueError("row count m is required with color assignments")
-        color = dict(ballot.colors)
-        if any(not 1 <= c <= m for c in color.values()):
+        row_of = dict(ballot.colors)
+        if any(not 1 <= c <= m for c in row_of.values()):
             raise ValueError(f"a color exceeds the row count {m}")
-        row_atoms = lambda i, block: [a for a in block if color[a] == i]
+        given = len(ballot.colors)
     else:
         m = len(ballot.rows)
-        row_sets = ballot.rows
-        row_atoms = lambda i, block: [a for a in block if a in row_sets[i - 1]]
-    cells: list[list[Word]] = []
-    for i in range(1, m + 1):
-        row: list[Word] = []
-        for block in ballot.columns:
-            picked = sorted(row_atoms(i, block), key=lambda a: -a[0])
-            row.append(tuple(chain.from_iterable(picked)))
-        cells.append(row)
-    return LinOrderMatrix(tuple(tuple(row) for row in cells))
+        row_of = {a: i for i, row in enumerate(ballot.rows, start=1) for a in row}
+        given = sum(map(len, ballot.rows))
+    cells: list[list[list[Word]]] = [[[] for _ in ballot.columns] for _ in range(m)]
+    for j, block in enumerate(ballot.columns):
+        for a in block:
+            if a not in row_of:
+                raise ValueError(f"atom {a} has no row")
+            cells[row_of[a] - 1][j].append(a)
+    if not given == len(row_of) == sum(map(len, ballot.columns)):
+        raise ValueError("an atom has two rows, or a row holds an atom of no block")
+    join = lambda cell: tuple(chain.from_iterable(sorted(cell, reverse=True)))
+    return LinOrderMatrix(tuple(tuple(map(join, row)) for row in cells))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +438,9 @@ def enumerate_signed(
 
     With ``row_sums_spec`` (an AscentSetSpec) only grids whose row-sum
     vector equals ``row_sums_spec.delta`` are produced; that requires m
-    to be the number of parts of delta.
+    to be the number of parts of delta.  They are built directly, row i
+    from the weak compositions of delta_i into k parts, and put in the
+    order the unfiltered stream would give them.
     """
     if m < 0 or n < 0:
         raise ValueError("enumerate_signed needs m, n >= 0")
@@ -449,10 +456,15 @@ def enumerate_signed(
                 f"delta has {len(want)} parts but the structures have {m} rows"
             )
     for k in range(n + 1):
-        for flat in weak_compositions(n, m * k):
-            grid = [[flat[j * m + i] for j in range(k)] for i in range(m)]
-            if want is not None and tuple(sum(row) for row in grid) != want:
-                continue
+        if want is None:
+            grids = ([flat[i::m] for i in range(m)] for flat in weak_compositions(n, m * k))
+        else:  # column-major flat tuples descending, the order of weak_compositions
+            grids = sorted(
+                itertools.product(*(weak_compositions(d, k) for d in want)),
+                key=lambda grid: tuple(chain.from_iterable(zip(*grid))),
+                reverse=True,
+            )
+        for grid in grids:
             base = from_length_grid(grid)
             choices = [(1,) if any(column) else (1, -1) for column in zip(*grid)]
             for signs in itertools.product(*choices):

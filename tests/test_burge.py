@@ -1,6 +1,9 @@
 """Burge words, Burge matrices, and the tally bijection between them."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayburge.burge import (
     BurgeWord,
@@ -148,6 +151,56 @@ def test_enumerate_mat_row_filter():
     assert all(row_sums(m) == (1, 2) for m in bgot)
     with pytest.raises(ValueError):
         list(enumerate_mat(3, row_sums_spec=AscentSetSpec(4, (1,))))
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_enumerate_mat_row_sums_equals_the_filtered_full_enumeration(binary):
+    for n in range(1, 7):
+        filtered = {}  # the full stream split by row sums, in stream order
+        for mat in enumerate_mat(n, binary=binary):
+            filtered.setdefault(row_sums(mat), []).append(mat)
+        for r in range(n):
+            for S in itertools.combinations(range(1, n), r):
+                spec = AscentSetSpec(n, S)
+                got = list(enumerate_mat(n, binary=binary, row_sums_spec=spec))
+                assert got == filtered[spec.delta], (n, S)
+
+
+def _matrices_with_row_sums(delta, binary):
+    """Every Burge matrix with row sums delta, built column by column:
+    each column is a nonzero vector within what is left of delta."""
+
+    def columns(left):
+        if not any(left):
+            yield ()
+            return
+        ranges = [range(min(x, 1) + 1 if binary else x + 1) for x in left]
+        for col in itertools.product(*ranges):
+            if any(col):
+                for rest in columns(tuple(a - b for a, b in zip(left, col))):
+                    yield (col,) + rest
+
+    return [tuple(zip(*cols)) for cols in columns(delta)]
+
+
+def _biword_bottom(mat):
+    """The word v of the biword of mat: row by row, columns right to left."""
+    return tuple(j for row in mat for j in range(len(row), 0, -1) for _ in range(row[j - 1]))
+
+
+@st.composite
+def ascent_specs(draw, min_n, max_n):
+    n = draw(st.integers(min_n, max_n))
+    return AscentSetSpec(n, tuple(p for p in range(1, n) if draw(st.booleans())))
+
+
+@settings(max_examples=15, deadline=None)
+@given(ascent_specs(4, 7), st.booleans())
+def test_enumerate_mat_row_sums_matches_a_column_by_column_build(spec, binary):
+    # n <= 6 is covered exhaustively above; one u has the row sums delta,
+    # and its words v come in lexicographic order
+    want = sorted(_matrices_with_row_sums(spec.delta, binary), key=_biword_bottom)
+    assert list(enumerate_mat(spec.n, binary=binary, row_sums_spec=spec)) == want
 
 
 def test_two_sided_brute_size_two():

@@ -231,6 +231,17 @@ def test_enumerate_pinned_output(capsys, command, fmt):
     assert (code, out, err) == (0, expected, "")
 
 
+# Exact stdout of the row-sum (--ascents) enumerate commands, one entry
+# per command and format, as the filter over the full stream printed it.
+ASCENTS_PINNED = json.loads((Path(__file__).parent / "data" / "enumerate_ascents.json").read_text())
+
+
+@pytest.mark.parametrize("command", list(ASCENTS_PINNED))
+def test_enumerate_ascents_pinned_output(capsys, command):
+    code, out, err = run_cli(capsys, "enumerate", *command.split())
+    assert (code, out, err) == (0, ASCENTS_PINNED[command], "")
+
+
 @pytest.mark.parametrize(
     "fmt, first",
     [("text", "12\n"), ("csv", "value\r\n12\r\n"), ("json", '"value": [[1, 2]')],

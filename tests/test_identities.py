@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cayburge import identities
+from cayburge import burge, identities, lomat
 from cayburge.burge import two_sided_brute
 from cayburge.identities import (
     GENMAT_METHODS,
@@ -330,6 +330,34 @@ def test_polynomial_witnesses_are_json_safe(monkeypatch):
     assert result.status == "fail"
     assert result.witness == {"strict": False, "n": 0, "formula": [[0, 0, 2]], "brute": [[0, 0, 1]]}
     json.dumps([result.witness, identities.check_caylerian(3)[0].witness])
+
+
+@pytest.mark.parametrize(
+    "module, generator, route",
+    [(lomat, "enumerate_signed", "signed"), (burge, "enumerate_mat", "enum")],
+    ids=["signed", "enum"],
+)
+def test_row_sum_generators_are_load_bearing(monkeypatch, module, generator, route):
+    """A row-sum generator that loses one object fails its check, and the
+    witness shows the route it feeds one short of the formula.  The other
+    involution checks are stubbed out; they never pass row_sums_spec."""
+    real = getattr(module, generator)
+
+    def drop_first(*args, row_sums_spec=None, **kwargs):
+        stream = real(*args, row_sums_spec=row_sums_spec, **kwargs)
+        if row_sums_spec is not None:
+            next(stream)
+        return stream
+
+    monkeypatch.setattr(module, generator, drop_first)
+    for check, _, _ in SUITES["involutions"]:
+        if check != "check_gamma_row_filtered":
+            monkeypatch.setattr(identities, check, lambda *bounds: [])
+    (result,) = run_suite("involutions", 5, 2)
+    assert (result.name, result.status) == ("gamma-row-filtered-sum", "fail")
+    witness = result.witness
+    other = {"signed": "enum", "enum": "signed"}[route]
+    assert witness[route] == witness["formula"] - 1 and witness[other] == witness["formula"]
 
 
 def test_certified_checks_honour_the_tail_bound():

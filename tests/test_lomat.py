@@ -131,6 +131,32 @@ def test_atom_ballot_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "ballot, m",
+    [
+        # colors mode, atom (2,) has no color
+        (AtomBallot((frozenset({(1,)}), frozenset({(2,)})), colors=(((1,), 1),)), 1),
+        # colors mode, atom (1,) has two colors
+        (AtomBallot((frozenset({(1,)}),), colors=(((1,), 1), ((1,), 2))), 2),
+        # rows mode, atom (2,) lies in no row
+        (AtomBallot((frozenset({(1,), (2,)}),), rows=(frozenset({(1,)}),)), None),
+        # rows mode, atom (2,) lies in two rows
+        (
+            AtomBallot(
+                (frozenset({(1,)}), frozenset({(2,)})),
+                rows=(frozenset({(2,)}), frozenset({(1,), (2,)})),
+            ),
+            None,
+        ),
+        # rows mode, atom (2,) lies in a row but in no block
+        (AtomBallot((frozenset({(1,)}),), rows=(frozenset({(1,)}), frozenset({(2,)}))), None),
+    ],
+)
+def test_from_atom_ballot_rejects_malformed_ballots(ballot, m):
+    with pytest.raises(ValueError):
+        from_atom_ballot(ballot, m)
+
+
 def test_atom_ballot_roundtrip_exhaustive():
     for m_rows in range(1, 4):
         for n in range(5):
@@ -272,6 +298,18 @@ def test_leftmost_empty_column():
     assert leftmost_empty_column(with_gap) == 2
     assert leftmost_empty_column(from_length_grid(((0, 1), (0, 1)))) == 1
     assert leftmost_empty_column(LinOrderMatrix(())) == 0
+
+
+def test_signed_row_sums_equals_the_filtered_full_enumeration():
+    for n in range(1, 6):
+        for m in range(1, n + 1):
+            filtered = {}  # the full stream split by row sums, in stream order
+            for sm in enumerate_signed(m, n):
+                filtered.setdefault(tuple(map(sum, sm.matrix.grid)), []).append(sm)
+            for S in itertools.combinations(range(1, n), m - 1):
+                spec = AscentSetSpec(n, S)
+                got = list(enumerate_signed(m, n, row_sums_spec=spec))
+                assert got == filtered[spec.delta], (n, S)
 
 
 def test_signed_row_filter():
