@@ -514,18 +514,19 @@ def check_act_bijection(max_n: int, max_m: int) -> list[CheckResult]:
     failures = []
 
     def routes(m: int, n: int) -> dict:
-        built = []
+        unmatched = set(lomat.enumerate_lomat_direct(m, n))
+        direct = len(unmatched)
+        built = 0
         for base in lomat.enumerate_genmat(m, n):
             for w in words.enumerate_linear_orders(n):
                 image = lomat.act(w, base)
                 got_w, got_base = lomat.factor_action(image)
                 if got_w != w or got_base != base:
                     failures.append({"m": m, "n": n, "w": w})
-                built.append(image)
-        direct = set(lomat.enumerate_lomat_direct(m, n))
-        common = len(direct.intersection(built))
+                built += 1
+                unmatched.discard(image)
         # equal exactly when the action builds the direct set, each structure once
-        return {"via_action": len(built), "direct": len(direct), "in_both": common}
+        return {"via_action": built, "direct": direct, "in_both": direct - len(unmatched)}
 
     params = {"max_n": max_n, "max_m": max_m}
     count_failures = _disagreements(_grid(m=range(max_m + 1), n=range(max_n + 1)), routes)

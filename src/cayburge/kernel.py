@@ -175,17 +175,41 @@ def compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
 def weak_compositions(
     total: int, parts: int, max_part: int | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """Length-``parts`` tuples of nonnegative ints summing to ``total``."""
+    """Length-``parts`` tuples of nonnegative ints summing to ``total``,
+    each part at most ``max_part``, in decreasing lexicographic order.
+
+    One odometer: each step lowers the rightmost part (before the last)
+    whose suffix can take one more, and refills that suffix greedily.
+    """
     if total < 0 or parts < 0:
         raise ValueError("weak_compositions needs nonnegative arguments")
     if parts == 0:
         if total == 0:
             yield ()
         return
-    top = total if max_part is None else min(total, max_part)
-    for first in range(top, -1, -1):
-        for rest in weak_compositions(total - first, parts - 1, max_part):
-            yield (first,) + rest
+    cap = total if max_part is None else max_part
+    if total > parts * cap:
+        return
+    a, last, tail = [0] * parts, parts - 1, total
+    i = -1
+    while True:
+        k = i + 1  # refill a[k:] with the largest parts summing to tail
+        while tail > cap:
+            a[k] = cap
+            tail -= cap
+            k += 1
+        a[k] = tail
+        a[k + 1 :] = [0] * (last - k)
+        yield tuple(a)
+        tail = a[last]
+        i = last - 1
+        while i >= 0 and (not a[i] or tail >= (last - i) * cap):
+            tail += a[i]
+            i -= 1
+        if i < 0:
+            return
+        a[i] -= 1
+        tail += 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ column by column, top to bottom, concatenates to a permutation prod(M).
 are equivalent to integer matrices of entry lengths with no zero
 column.  Any structure factors uniquely as act(w, A) with A normalized
 and w = prod(M).  A ``LinOrderMatrix`` stores just that pair: the word
-prod(M) and the grid of entry lengths, which fixes A; the nested
-entries are derived from them.
+prod(M) and the grid of entry lengths, which fixes A.  What the grid
+alone fixes (where each entry sits in the word, where tau swaps, whether
+a row is empty) is derived once per base structure and shared by the
+structures that act, tau and factor_action build on the same grid; the
+nested entries are built only when something renders them.
 
 An atom is a word whose only left-to-right minimum is its first letter.
 Splitting every entry at its left-to-right minima and remembering, for
@@ -102,11 +105,15 @@ class LinOrderMatrix:
     def cols(self) -> int:
         return len(self.grid[0]) if self.grid else 0
 
+    @cached_property
+    def _layout(self) -> _Layout:
+        return _Layout(self.grid)
+
     def column_empty(self, j: int) -> bool:
         return all(not row[j] for row in self.grid)
 
     def has_empty_row(self) -> bool:
-        return not all(map(any, self.grid))
+        return not self._layout.full_rows
 
     def is_normalized(self) -> bool:
         return self.word == tuple(range(1, len(self.word) + 1))
@@ -121,15 +128,43 @@ class LinOrderMatrix:
                     raise ValueError(f"column {j + 1} is empty")
 
 
-def _lengths(m: LinOrderMatrix) -> Iterator[int]:
-    """Entry lengths in prod order: column by column, top to bottom."""
-    return chain.from_iterable(zip(*m.grid))
+class _Layout:
+    """What a grid fixes for every word on it, derived once per grid and
+    shared by the structures that act, tau and factor_action build on it.
+
+    ``cells`` lists the nonempty entries in prod order as (start, end,
+    column, row) offsets into the word; ``starts`` holds their starts;
+    ``swap`` is the offset tau swaps at (None when every entry has
+    length <= 1); ``full_rows`` says that no row is empty.
+    """
+
+    __slots__ = ("cells", "starts", "swap", "full_rows")
+
+    def __init__(self, grid: tuple[tuple[int, ...], ...]):
+        height, pos, cells, swap = len(grid), 0, [], None
+        for k, length in enumerate(chain.from_iterable(zip(*grid))):
+            if length:
+                cells.append((pos, pos + length, *divmod(k, height)))
+                if swap is None and length >= 2:
+                    swap = pos
+                pos += length
+        self.cells = cells
+        self.starts = frozenset(cell[0] for cell in cells)
+        self.swap = swap
+        self.full_rows = all(map(any, grid))
+
+
+def _on_grid_of(m: LinOrderMatrix, word: Word) -> LinOrderMatrix:
+    """The structure with m's grid and the given word; it shares m's layout."""
+    out = LinOrderMatrix(word, m.grid)
+    out.__dict__["_layout"] = m._layout
+    return out
 
 
 def _cells(m: LinOrderMatrix) -> list[Word]:
     """The entries in prod order, cut from m.word; entry (i, j) is at
     index j * m.rows + i."""
-    lengths = list(_lengths(m))
+    lengths = list(chain.from_iterable(zip(*m.grid)))
     return [m.word[end - k : end] for k, end in zip(lengths, accumulate(lengths))]
 
 
@@ -142,12 +177,12 @@ def act(w: Word, m: LinOrderMatrix) -> LinOrderMatrix:
     """Replace every letter c by w(c).  Needs len(w) == len(prod(m))."""
     if len(w) != len(m.word):
         raise ValueError(f"word of length {len(w)} cannot act on size {len(m.word)}")
-    return LinOrderMatrix(tuple(w[c - 1] for c in m.word), m.grid)
+    return _on_grid_of(m, tuple([w[c - 1] for c in m.word]))
 
 
 def factor_action(m: LinOrderMatrix) -> tuple[Word, LinOrderMatrix]:
     """Unique (w, A) with A normalized and act(w, A) == m; w is prod(m)."""
-    return m.word, LinOrderMatrix(tuple(range(1, len(m.word) + 1)), m.grid)
+    return m.word, _on_grid_of(m, tuple(range(1, len(m.word) + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +209,7 @@ def atoms(m: LinOrderMatrix) -> list[Word]:
 
 def atom_count(m: LinOrderMatrix) -> int:
     """Number of left-to-right minima, counted within each entry."""
-    starts = set(accumulate(_lengths(m), initial=0))
+    starts = m._layout.starts
     total = lo = 0
     for p, c in enumerate(m.word):
         if p in starts or c < lo:  # the first letter of an entry, or a new minimum
@@ -194,12 +229,11 @@ def tau(m: LinOrderMatrix) -> LinOrderMatrix:
     Entries are scanned in prod order; matrices whose entries all have
     length <= 1 are fixed.  Off the fixed set this flips xi_atoms.
     """
-    w, pos = m.word, 0
-    for length in _lengths(m):
-        if length >= 2:
-            return LinOrderMatrix(w[:pos] + (w[pos + 1], w[pos]) + w[pos + 2 :], m.grid)
-        pos += length
-    return m
+    pos = m._layout.swap
+    if pos is None:
+        return m
+    w = m.word
+    return _on_grid_of(m, w[:pos] + (w[pos + 1], w[pos]) + w[pos + 2 :])
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +293,13 @@ def to_atom_ballot(m: LinOrderMatrix, row_mode: str = "color") -> AtomBallot:
     """
     if row_mode not in ("color", "ballot"):
         raise ValueError(f"unknown row_mode {row_mode!r}")
-    height = m.rows
-    columns: list[set[Word]] = [set() for _ in range(m.cols)]
-    rows: list[set[Word]] = [set() for _ in range(height)]
-    for k, e in enumerate(_cells(m)):
-        if e:
-            j, i = divmod(k, height)
-            cut = split_atoms(e)
-            columns[j].update(cut)
-            rows[i].update(cut)
+    word = m.word
+    columns: list[list[Word]] = [[] for _ in range(m.cols)]
+    rows: list[list[Word]] = [[] for _ in range(m.rows)]
+    for start, end, j, i in m._layout.cells:
+        cut = split_atoms(word[start:end])
+        columns[j] += cut
+        rows[i] += cut
     blocks = tuple(map(frozenset, columns))
     if row_mode == "color":
         pairs = sorted((a, i) for i, row in enumerate(rows, start=1) for a in row)
@@ -298,16 +330,24 @@ def from_atom_ballot(ballot: AtomBallot, m: int | None = None) -> LinOrderMatrix
         m = len(ballot.rows)
         row_of = {a: i for i, row in enumerate(ballot.rows, start=1) for a in row}
         given = sum(map(len, ballot.rows))
-    cells: list[list[list[Word]]] = [[[] for _ in ballot.columns] for _ in range(m)]
-    for j, block in enumerate(ballot.columns):
+    columns = [[[] for _ in range(m)] for _ in ballot.columns]  # [j][i], prod order
+    for column, block in zip(columns, ballot.columns):
         for a in block:
             if a not in row_of:
                 raise ValueError(f"atom {a} has no row")
-            cells[row_of[a] - 1][j].append(a)
+            column[row_of[a] - 1].append(a)
     if not given == len(row_of) == sum(map(len, ballot.columns)):
         raise ValueError("an atom has two rows, or a row holds an atom of no block")
-    join = lambda cell: tuple(chain.from_iterable(sorted(cell, reverse=True)))
-    return LinOrderMatrix(tuple(tuple(map(join, row)) for row in cells))
+    word: list[int] = []
+    lengths = []
+    for cell in chain.from_iterable(columns):
+        start = len(word)
+        if cell:
+            cell.sort(reverse=True)
+            for a in cell:
+                word += a
+        lengths.append(len(word) - start)
+    return LinOrderMatrix(tuple(word), tuple(tuple(lengths[i::m]) for i in range(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -348,29 +388,23 @@ def enumerate_lomat_direct(m: int, n: int) -> Iterator[LinOrderMatrix]:
 
     Columns are read off a ballot of {1..n}; each block is ordered in
     every possible way and cut into m consecutive (possibly empty)
-    pieces, one per row.  Kept as an independent route for the
-    verification harness.
+    pieces, one per row, so prod(M) is the block orders concatenated and
+    the grid's columns are the cuts.  Kept as an independent route for
+    the verification harness.
     """
     for ballot in enumerate_ballots(n):
-        pools = []
-        for block in ballot:
-            elems = sorted(block)
-            fillings = []
-            for order in itertools.permutations(elems):
-                for cut in weak_compositions(len(elems), m):
-                    col = []
-                    pos = 0
-                    for length in cut:
-                        col.append(tuple(order[pos : pos + length]))
-                        pos += length
-                    fillings.append(tuple(col))
-            pools.append(fillings)
+        pools = [
+            [
+                (order, cut)
+                for order in itertools.permutations(sorted(block))
+                for cut in weak_compositions(len(block), m)
+            ]
+            for block in ballot
+        ]
         for columns in itertools.product(*pools):
-            entries = tuple(
-                tuple(columns[j][i] for j in range(len(ballot)))
-                for i in range(m)
-            )
-            yield LinOrderMatrix(entries)
+            word = tuple(chain.from_iterable(order for order, _ in columns))
+            grid = tuple(tuple(cut[i] for _, cut in columns) for i in range(m))
+            yield LinOrderMatrix(word, grid)
 
 
 def enumerate_mat_normalized(n: int, binary: bool = False) -> Iterator[LinOrderMatrix]:

@@ -360,6 +360,40 @@ def test_row_sum_generators_are_load_bearing(monkeypatch, module, generator, rou
     assert witness[route] == witness["formula"] - 1 and witness[other] == witness["formula"]
 
 
+def _act_fixing_one_word(real, w0=(2, 1)):
+    return lambda w, base: base if w == w0 else real(w, base)
+
+
+def _direct_without_its_first(real):
+    def drop_first(m, n):
+        stream = real(m, n)
+        next(stream, None)
+        return stream
+
+    return drop_first
+
+
+@pytest.mark.parametrize(
+    "route, perturb",
+    [("act", _act_fixing_one_word), ("enumerate_lomat_direct", _direct_without_its_first)],
+    ids=["act-misses-one-image", "direct-loses-one"],
+)
+def test_action_image_vs_direct_is_load_bearing(monkeypatch, route, perturb):
+    """The action image, streamed against the direct set, still tells the
+    two routes apart when either one is off by a single structure.  The
+    other bijection checks are stubbed out."""
+    monkeypatch.setattr(lomat, route, perturb(getattr(lomat, route)))
+    for check, _, _ in SUITES["bijections"]:
+        if check != "check_act_bijection":
+            monkeypatch.setattr(identities, check, lambda *bounds: [])
+    results = {r.name: r for r in run_suite("bijections", 5, 2)}
+    result = results["action-image-vs-direct"]
+    assert result.status == "fail"
+    witness = result.witness
+    assert {"via_action", "direct", "in_both"} <= set(witness)
+    assert witness["in_both"] < max(witness["via_action"], witness["direct"])
+
+
 def test_certified_checks_honour_the_tail_bound():
     for result in run_suite("gf", 2, 1, Fraction(1, 8)):
         if result.name.startswith(("halving", "double")):

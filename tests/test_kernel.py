@@ -1,5 +1,6 @@
 """Exact-arithmetic kernel: tables, coefficients, polynomials, series."""
 
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -148,6 +149,35 @@ def test_weak_compositions_counts():
             assert all(len(c) == parts and sum(c) == total for c in got)
     capped = list(weak_compositions(3, 4, max_part=1))
     assert len(capped) == math.comb(4, 3)
+
+
+def _weak_compositions_recursive(total, parts, max_part=None):
+    """Reference: choose the first part, largest first, then recurse."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    top = total if max_part is None else min(total, max_part)
+    for first in range(top, -1, -1):
+        for rest in _weak_compositions_recursive(total - first, parts - 1, max_part):
+            yield (first,) + rest
+
+
+def test_weak_compositions_order_matches_the_recursive_definition():
+    """Same tuples in the same order, with and without a cap on the parts,
+    including no parts at all and caps too small to reach the total."""
+    for total in range(7):
+        for parts in range(6):
+            for cap in (None, 0, 1, 2, 3):
+                got = weak_compositions(total, parts, max_part=cap)
+                assert inspect.isgenerator(got)
+                want = list(_weak_compositions_recursive(total, parts, cap))
+                assert list(got) == want, (total, parts, cap)
+    assert list(weak_compositions(0, 0, max_part=0)) == [()]
+    assert list(weak_compositions(1, 0)) == []
+    assert list(weak_compositions(4, 3, max_part=1)) == []
+    with pytest.raises(ValueError):
+        next(weak_compositions(-1, 2))
 
 
 def test_intpoly_arithmetic():

@@ -30,7 +30,8 @@ from cayburge.lomat import (
     to_atom_ballot,
     xi_atoms,
 )
-from cayburge.words import AscentSetSpec
+from cayburge.kernel import weak_compositions
+from cayburge.words import AscentSetSpec, enumerate_ballots
 
 # 4x3 worked example: w = 784652391 acting on the normalized A
 W = (7, 8, 4, 6, 5, 2, 3, 9, 1)
@@ -244,6 +245,31 @@ def test_enumerate_lomat_counts_and_direct_route():
             assert via_action == set(direct)
 
 
+def _direct_by_nested_entries(m_rows, n):
+    """enumerate_lomat_direct written out with nested entries: every block
+    of every ballot, in every order, cut into m_rows pieces top to bottom."""
+    for ballot in enumerate_ballots(n):
+        pools = []
+        for block in ballot:
+            fillings = []
+            for order in itertools.permutations(sorted(block)):
+                for cut in weak_compositions(len(block), m_rows):
+                    ends = list(itertools.accumulate(cut, initial=0))
+                    fillings.append(tuple(order[a:b] for a, b in zip(ends, ends[1:])))
+            pools.append(fillings)
+        for columns in itertools.product(*pools):
+            yield LinOrderMatrix(tuple(tuple(col[i] for col in columns) for i in range(m_rows)))
+
+
+def test_enumerate_lomat_direct_order_is_pinned():
+    for m_rows in range(4):
+        for n in range(5):
+            got = list(enumerate_lomat_direct(m_rows, n))
+            want = list(_direct_by_nested_entries(m_rows, n))
+            assert [(x.word, x.grid) for x in got] == [(x.word, x.grid) for x in want]
+            assert [x.entries for x in got] == [x.entries for x in want]
+
+
 def test_enumerate_mat_normalized_matches_burge_grids():
     for n in range(5):
         for binary in (False, True):
@@ -402,3 +428,53 @@ def test_word_and_grid_agree_with_nested_entries(drawn):
     assert xi_atoms(mat) == (-1) ** (n - len(model_atoms))
     acted = tuple(tuple(tuple(w[c - 1] for c in e) for e in row) for row in base.entries)
     assert acted == nested
+
+
+@st.composite
+def chain_of_images(draw):
+    """A base structure and a few steps: a word to act by, "tau" or "factor"."""
+    grid, w = draw(grid_and_word())
+    steps = st.one_of(st.just("tau"), st.just("factor"), st.permutations(range(1, len(w) + 1)))
+    return grid, w, draw(st.lists(steps, max_size=6))
+
+
+@given(chain_of_images())
+def test_shared_grid_facts_agree_with_nested_entries_along_chains(drawn):
+    """Structures built by act, tau and factor_action from one base share
+    what their grid fixes; every one of them still reads tau, its atoms,
+    its empty rows and its atom-ballot round trip off its own word."""
+    grid, w, steps = drawn
+    n, m_rows = len(w), len(grid)
+    mat, nested = act(w, from_length_grid(grid)), _deal(grid, w)
+    for step in (None, *steps):
+        if step == "tau":
+            mat, nested = tau(mat), _model_tau(nested)
+        elif step == "factor":
+            mat, nested = factor_action(mat)[1], _deal(grid, tuple(range(1, n + 1)))
+        elif step is not None:
+            mat = act(tuple(step), mat)
+            nested = tuple(tuple(tuple(step[c - 1] for c in e) for e in row) for row in nested)
+        assert mat == LinOrderMatrix(nested) and mat.entries == nested
+        assert tau(mat) == LinOrderMatrix(_model_tau(nested))
+        model_atoms = _model_atoms(nested)
+        assert atom_count(mat) == len(model_atoms)
+        assert xi_atoms(mat) == (-1) ** (n - len(model_atoms))
+        empty_row = any(not any(row) for row in nested)
+        assert mat.has_empty_row() == tau(mat).has_empty_row() == empty_row
+        assert from_atom_ballot(to_atom_ballot(mat), m_rows) == mat
+        if empty_row:
+            with pytest.raises(ValueError):
+                to_atom_ballot(mat, row_mode="ballot")
+        else:
+            assert from_atom_ballot(to_atom_ballot(mat, row_mode="ballot")) == mat
+
+
+def test_atom_ballot_round_trip_without_rows_or_letters():
+    for grid in ((), ((),), ((), ()), ((0, 0),), ((0,), (0,))):
+        mat = from_length_grid(grid)
+        assert from_atom_ballot(to_atom_ballot(mat), len(grid)) == mat
+        if grid == ():
+            assert from_atom_ballot(to_atom_ballot(mat, row_mode="ballot")) == mat
+        else:
+            with pytest.raises(ValueError):
+                to_atom_ballot(mat, row_mode="ballot")
