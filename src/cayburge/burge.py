@@ -29,7 +29,6 @@ __all__ = [
     "BurgeWord",
     "is_burge_word",
     "is_burge_matrix",
-    "matrix_size",
     "row_sums",
     "column_sums",
     "word_to_matrix",
@@ -60,10 +59,6 @@ def is_burge_word(bw: BurgeWord, binary: bool = False) -> bool:
         return False
     need = descent_mask(v, strict=binary)
     return descent_mask(u, strict=False) & ~need == 0
-
-
-def matrix_size(mat: Matrix) -> int:
-    return sum(sum(row) for row in mat)
 
 
 def row_sums(mat: Matrix) -> tuple[int, ...]:

@@ -345,17 +345,6 @@ class BiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
 
-    @classmethod
-    def from_pair_product(cls, in_s: IntPoly, in_t: IntPoly) -> "BiPoly":
-        """Product p(s) * q(t) viewed as a bivariate polynomial."""
-        return cls(
-            ((i, j), a * b)
-            for i, a in enumerate(in_s.coeffs)
-            if a
-            for j, b in enumerate(in_t.coeffs)
-            if b
-        )
-
     def items(self) -> list[tuple[tuple[int, int], int]]:
         """Terms sorted by (deg_s, deg_t); the canonical external order."""
         return sorted(self.terms.items())
@@ -438,10 +427,6 @@ class RatSeries:
     @classmethod
     def one(cls, order: int) -> "RatSeries":
         return cls([1], order=order)
-
-    @classmethod
-    def x(cls, order: int) -> "RatSeries":
-        return cls([0, 1], order=order)
 
     @classmethod
     def from_intpoly(cls, p: IntPoly, order: int) -> "RatSeries":
@@ -578,11 +563,6 @@ class RatSeries:
         """Reinterpret exponential coefficients as ordinary ones (multiply by n!)."""
         return RatSeries(
             [c * math.factorial(n) for n, c in enumerate(self.coeffs)], order=self.order
-        )
-
-    def ogf_to_egf(self) -> "RatSeries":
-        return RatSeries(
-            [c / math.factorial(n) for n, c in enumerate(self.coeffs)], order=self.order
         )
 
     def __repr__(self) -> str:

@@ -119,7 +119,8 @@ class LinOrderMatrix:
         return self.word == tuple(range(1, len(self.word) + 1))
 
     def validate(self, allow_empty_columns: bool = False) -> None:
-        """Raise ValueError unless the letters tile {1..n} as required."""
+        """Raise ValueError unless the lengths are >= 0 and the letters tile {1..n}."""
+        _check_lengths(self.grid)
         if sorted(self.word) != list(range(1, len(self.word) + 1)):
             raise ValueError("the letters are not 1..n, each once")
         if not allow_empty_columns:
@@ -152,6 +153,11 @@ class _Layout:
         self.starts = frozenset(cell[0] for cell in cells)
         self.swap = swap
         self.full_rows = all(map(any, grid))
+
+
+def _check_lengths(grid: tuple[tuple[int, ...], ...]) -> None:
+    if any(length < 0 for row in grid for length in row):
+        raise ValueError("negative entry length")
 
 
 def _on_grid_of(m: LinOrderMatrix, word: Word) -> LinOrderMatrix:
@@ -251,8 +257,7 @@ def from_length_grid(grid: Sequence[Sequence[int]]) -> LinOrderMatrix:
     result satisfies prod(M) = 12..n.
     """
     grid = tuple(map(tuple, grid))
-    if any(length < 0 for row in grid for length in row):
-        raise ValueError("negative entry length")
+    _check_lengths(grid)
     return LinOrderMatrix(tuple(range(1, sum(map(sum, grid)) + 1)), grid)
 
 

@@ -364,9 +364,9 @@ def _act_fixing_one_word(real, w0=(2, 1)):
     return lambda w, base: base if w == w0 else real(w, base)
 
 
-def _direct_without_its_first(real):
-    def drop_first(m, n):
-        stream = real(m, n)
+def _without_its_first(real):
+    def drop_first(*args, **kwargs):
+        stream = real(*args, **kwargs)
         next(stream, None)
         return stream
 
@@ -375,7 +375,7 @@ def _direct_without_its_first(real):
 
 @pytest.mark.parametrize(
     "route, perturb",
-    [("act", _act_fixing_one_word), ("enumerate_lomat_direct", _direct_without_its_first)],
+    [("act", _act_fixing_one_word), ("enumerate_lomat_direct", _without_its_first)],
     ids=["act-misses-one-image", "direct-loses-one"],
 )
 def test_action_image_vs_direct_is_load_bearing(monkeypatch, route, perturb):
@@ -392,6 +392,71 @@ def test_action_image_vs_direct_is_load_bearing(monkeypatch, route, perturb):
     witness = result.witness
     assert {"via_action", "direct", "in_both"} <= set(witness)
     assert witness["in_both"] < max(witness["via_action"], witness["direct"])
+
+
+def _gamma_setting_leftmost_empty_negative(real):
+    def gamma(sm):
+        j = lomat.leftmost_empty_column(sm.matrix)
+        if not j:
+            return sm
+        return lomat.SignedLOMatrix(sm.matrix, sm.signs[: j - 1] + (-1,) + sm.signs[j:])
+
+    return gamma
+
+
+def _tau_fixing_descending_swaps(real):
+    def tau(x):
+        image = real(x)
+        # the two words differ only at the swap, so the larger one descends there
+        return x if image.word > x.word else image
+
+    return tau
+
+
+def _xi_atoms_flipped_on_one(real, one=lomat.LinOrderMatrix((2, 1), ((2,),))):
+    return lambda x: -real(x) if x == one else real(x)
+
+
+@pytest.mark.parametrize(
+    "route, perturb, check",
+    [
+        ("gamma", lambda real: lambda sm: sm, "check_gamma"),
+        ("gamma", _gamma_setting_leftmost_empty_negative, "check_gamma"),
+        ("tau", lambda real: lambda x: x, "check_tau"),
+        ("tau", _tau_fixing_descending_swaps, "check_tau"),
+        ("xi_atoms", _xi_atoms_flipped_on_one, "check_tau"),
+        ("enumerate_signed", _without_its_first, "check_gamma"),
+        ("enumerate_lomat", _without_its_first, "check_tau"),
+    ],
+    ids=[
+        "gamma-identity",
+        "gamma-sets-minus",
+        "tau-identity",
+        "tau-fixes-descending-swaps",
+        "xi-atoms-flipped-on-one",
+        "signed-loses-one",
+        "lomat-loses-one",
+    ],
+)
+def test_involution_walk_is_load_bearing(monkeypatch, route, perturb, check):
+    """A broken involution, sign or family never lets both results of its
+    check pass: the matching walk and the signed sum together carry the
+    proof.  The other involution checks are stubbed out."""
+    monkeypatch.setattr(lomat, route, perturb(getattr(lomat, route)))
+    for other, _, _ in SUITES["involutions"]:
+        if other != check:
+            monkeypatch.setattr(identities, other, lambda *bounds: [])
+    results = run_suite("involutions", 5, 2)
+    assert len(results) == 2 and not all(r.ok for r in results)
+
+
+def test_word_matrix_image_is_counted_against_the_closed_form(monkeypatch):
+    """Unfiltered enumerate_mat maps enumerate_burge through word_to_matrix,
+    so only a count from the closed form tells a lost Burge word."""
+    monkeypatch.setattr(burge, "enumerate_burge", _without_its_first(burge.enumerate_burge))
+    (result,) = identities.check_word_matrix(3)
+    assert result.status == "fail"
+    assert result.witness["bad"] == "image set"
 
 
 def test_certified_checks_honour_the_tail_bound():

@@ -215,6 +215,10 @@ def test_validate_errors():
     LinOrderMatrix((((1,), ()),)).validate(allow_empty_columns=True)
     with pytest.raises(ValueError):
         LinOrderMatrix((((1,), (2,)), ((3,),))).validate()  # ragged
+    # lengths that add up with a negative one pass the constructor, not validate
+    for word, grid in (((1,), ((2, -1),)), ((1, 2), ((2, 1), (0, -1)))):
+        with pytest.raises(ValueError, match="negative entry length"):
+            LinOrderMatrix(word, grid).validate(allow_empty_columns=True)
 
 
 def test_enumerate_genmat_2_2():
