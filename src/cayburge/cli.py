@@ -9,14 +9,14 @@ Subcommands:
 
 `enumerate` writes each object as it is generated, in the requested
 format only.  `enumerate` and `count` refuse the flags their object does
-not read.  `oeis` takes --max-n >= 1 and at most one of --b-file and
---fetch.
+not read.  `verify` writes text or json and refuses csv.  `oeis` takes
+--max-n >= 1 and at most one of --b-file and --fetch.
 
 Exit codes: 0 success, 1 a verification or comparison failed, 2 invalid
 parameters or malformed input, 3 a certified truncation did not
 converge, 141 the reader closed standard output early (as `| head`
-does).  Enumerative work is capped at n <= 7 and formula work at
-n <= 12 unless --unsafe-bounds is given.
+does).  Enumerative work is capped at n <= 7 (rows <= 8) and formula
+work at n <= 12 unless --unsafe-bounds is given.
 """
 
 from __future__ import annotations
@@ -299,8 +299,9 @@ def _cmd_count(args) -> int:
     methods = identities.GENMAT_METHODS if args.object == "genmat" else identities.MAT_METHODS
     if args.method not in methods:
         return _fail(f"unknown method {args.method!r}; choose from {methods}", 2)
-    bound = ENUM_BOUND if args.method == "enumerate" else FORMULA_BOUND
-    caps = {"rows": FORMULA_BOUND, "size": bound} if args.object == "genmat" else {"n": bound}
+    flags = ("rows", "size") if args.object == "genmat" else ("n",)
+    # enumeration takes the caps `enumerate` itself takes
+    caps = {f: ENUM_SIZE_CAPS[f] if args.method == "enumerate" else FORMULA_BOUND for f in flags}
     error = _unread_error(args, (*caps, "binary"))
     if error:
         return _fail(error, 2)
@@ -348,6 +349,8 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.format == "csv":
+        return _fail("verify writes text or json, not csv", 2)
     error = _size_error(args, {"max_n": VERIFY_BOUND_N, "max_m": VERIFY_BOUND_M})
     if error:
         return _fail(f"verify: {error}", 2)

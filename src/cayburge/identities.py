@@ -64,6 +64,64 @@ class UnconvergedError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
+# the three summations behind the closed forms
+
+
+def _stirling_row(n: int, strict: bool) -> list[tuple[int, int]]:
+    """The nonzero (k, s) of row n: s = c(n, k), times (-1)^(n-k) when strict.
+
+    s = n! [x^n] L(x)^k / k! with L = log 1/(1-x), or L = log(1+x) when
+    strict.  So the n-th coefficient of an exponential generating
+    function sum_k f_k y^k / k! composed with L is the sum of s * f_k
+    over the row, divided by n!: each closed form below is such a sum.
+    """
+    row = [(k, stirling1(n, k)) for k in range(n + 1)]
+    return [(k, -s if strict and (n - k) % 2 else s) for k, s in row if s]
+
+
+def _newton_sum(values: list[int]) -> int:
+    """sum_j sum_{i<=j} (-1)^(j-i) C(j, i) values[i]: the forward
+    differences of values at 0, summed.
+
+    Two readings.  If values[c] counts the c-column grids of some kind,
+    the j-th difference counts the j-column ones with no empty column
+    (inclusion-exclusion on the empty columns).  If values[m] = p(m) for
+    a polynomial p of degree below len(values), then p(m) = sum_j C(m, j)
+    (j-th difference), and sum_m C(m, j) / 2^(m+1) = 1 for every j, so
+    the sum equals sum_m p(m) / 2^(m+1).
+    """
+    return sum(
+        (-1) ** (j - i) * binomial(j, i) * values[i]
+        for j in range(len(values))
+        for i in range(j + 1)
+    )
+
+
+def _certify(
+    what: str, tail_at: Callable[[int], Fraction | None], start: int, tail_bound: Fraction
+) -> tuple[int, Fraction]:
+    """The first truncation start * 2^i whose tail is below tail_bound,
+    with that tail.
+
+    tail_at(trunc) bounds the mass of the terms past trunc, or is None
+    while their ratio is not yet below 1.  tail_bound must lie in
+    (0, 1/2], so that at most one integer lies within the tail of a
+    partial sum (ValueError otherwise); UnconvergedError once the
+    truncation passes 4096.
+    """
+    if not 0 < tail_bound <= Fraction(1, 2):
+        raise ValueError("tail_bound must be in (0, 1/2]")
+    trunc = start
+    while True:
+        tail = tail_at(trunc)
+        if tail is not None and tail < tail_bound:
+            return trunc, tail
+        if trunc > 4096:
+            raise UnconvergedError(f"{what} did not certify below {tail_bound}")
+        trunc *= 2
+
+
+# ---------------------------------------------------------------------------
 # counting normalized matrices of linear orders
 
 
@@ -87,8 +145,7 @@ def count_genmat(m: int, n: int, binary: bool = False, method: str = "stirling")
     Methods:
       compositions     sum over compositions of n of a product of
                        per-column fill counts,
-      stirling         (1/n!) * sum_k c(n,k) fub(k) m^k, with the sign
-                       (-1)^(n-k) in the binary case,
+      stirling         the Stirling row (strict when binary) of fub(k) m^k,
       inclexcl         inclusion-exclusion on empty columns,
       ogf-coefficient  coefficient extraction from genmat_ogf,
       enumerate        direct generation.
@@ -107,19 +164,10 @@ def count_genmat(m: int, n: int, binary: bool = False, method: str = "stirling")
             total += prod
         return total
     if method == "stirling":
-        acc = 0
-        for k in range(n + 1):
-            term = stirling1(n, k) * fubini(k) * m**k
-            if binary and (n - k) % 2:
-                term = -term
-            acc += term
+        acc = sum(s * fubini(k) * m**k for k, s in _stirling_row(n, binary))
         return exact_div(acc, math.factorial(n))
     if method == "inclexcl":
-        total = 0
-        for k in range(n + 1):
-            for i in range(k + 1):
-                total += (-1) ** i * binomial(k, i) * coef(m * (k - i), n)
-        return total
+        return _newton_sum([coef(m * c, n) for c in range(n + 1)])
     if method == "ogf-coefficient":
         c = genmat_ogf(m, n, binary=binary).coefficient(n)
         if c.denominator != 1:
@@ -133,20 +181,15 @@ def count_genmat(m: int, n: int, binary: bool = False, method: str = "stirling")
 def count_mat(n: int, binary: bool = False, method: str = "stirling") -> int:
     """Number of (binary) Burge matrices of size n.
 
-    stirling uses (1/n!) * sum_k c(n,k) fub(k)^2, signed in the binary
-    case; enumerate generates the matrices; double-sum evaluates the
+    stirling sums fub(k)^2 over the Stirling row (strict when binary);
+    enumerate generates the matrices; double-sum evaluates the
     two-index halved sum with a certified tail (for the general variant
     that identity is a conjecture-check).
     """
     if n < 0:
         raise ValueError("count_mat needs n >= 0")
     if method == "stirling":
-        acc = 0
-        for k in range(n + 1):
-            term = stirling1(n, k) * fubini(k) ** 2
-            if binary and (n - k) % 2:
-                term = -term
-            acc += term
+        acc = sum(s * fubini(k) ** 2 for k, s in _stirling_row(n, binary))
         return exact_div(acc, math.factorial(n))
     if method == "enumerate":
         return sum(1 for _ in burge.enumerate_mat(n, binary=binary))
@@ -163,8 +206,8 @@ def count_mat(n: int, binary: bool = False, method: str = "stirling") -> int:
 def caylerian_formula(n: int, strict: bool = False) -> IntPoly:
     """Descent polynomial of Cay[n] without enumerating words.
 
-    (1/n!) sum_k (+-) c(n,k) fub(k) sum_i S(k,i) i! (t-1)^(n-i); the
-    binary-style sign (-1)^(n-k) appears exactly in the strict case.
+    fub(k) sum_i S(k,i) i! (t-1)^(n-i) summed over the Stirling row,
+    strict in the strict case.
     """
     if n < 0:
         raise ValueError("caylerian_formula needs n >= 0")
@@ -172,43 +215,35 @@ def caylerian_formula(n: int, strict: bool = False) -> IntPoly:
     for _ in range(n):
         tm1_pows.append(tm1_pows[-1] * IntPoly((-1, 1)))
     acc = IntPoly()
-    for k in range(n + 1):
-        s1 = stirling1(n, k)
-        if not s1:
-            continue
+    for k, s in _stirling_row(n, strict):
         inner = IntPoly()
         for i in range(k + 1):
             c = stirling2(k, i) * math.factorial(i)
             if c:
                 inner = inner + c * tm1_pows[n - i]
-        sign = -1 if strict and (n - k) % 2 else 1
-        acc = acc + (sign * s1 * fubini(k)) * inner
+        acc = acc + (s * fubini(k)) * inner
     return acc.divide_exact(math.factorial(n))
 
 
 def two_sided_formula(n: int, strict: bool = False) -> BiPoly:
     """Joint row/column polynomial of (binary) Burge matrices of size n.
 
-    (1/n!) sum_k (+-) c(n,k) P_k(s) P_k(t) with P_k the ballot-by-block
-    polynomial; strict=True gives the binary variant via the alternating
-    sign.
+    P_k(s) P_k(t) summed over the Stirling row, with P_k the
+    ballot-by-block polynomial; strict=True gives the binary variant.
     """
     if n < 0:
         raise ValueError("two_sided_formula needs n >= 0")
     acc: dict[tuple[int, int], int] = {}
-    for k in range(n + 1):
-        s1 = stirling1(n, k)
-        if not s1:
-            continue
-        sign = -1 if strict and (n - k) % 2 else 1
+    for k, s in _stirling_row(n, strict):
         bp = ballot_block_poly(k).coeffs
         for i, a in enumerate(bp):
             if not a:
                 continue
+            sa = s * a
             for j, b in enumerate(bp):
                 if b:
                     key = (i, j)
-                    acc[key] = acc.get(key, 0) + sign * s1 * a * b
+                    acc[key] = acc.get(key, 0) + sa * b
     return BiPoly(acc).divide_exact(math.factorial(n))
 
 
@@ -230,23 +265,12 @@ def caylerian_from_two_sided(poly: BiPoly, n: int) -> IntPoly:
 def beta_formula(spec: words.AscentSetSpec, strict: bool = False) -> int:
     """Cayley permutations with (strict or weak) ascent set inside S.
 
-    sum_k sum_i (-1)^i C(k,i) prod_g coef(k-i, g) over the parts g of
-    delta(S); coef is multichoose for the strict-ascent count and
-    binomial for the weak one.  The inner alternation counts k-column
-    grids with prescribed row sums and no empty column.
+    The Newton sum of prod_g coef(c, g) over the parts g of delta(S),
+    which counts the c-column grids with those row sums; coef is
+    multichoose for the strict-ascent count and binomial for the weak one.
     """
     coef = multichoose if strict else binomial
-    gaps = spec.delta
-    total = 0
-    for k in range(spec.n + 1):
-        for i in range(k + 1):
-            prod = (-1) ** i * binomial(k, i)
-            for g in gaps:
-                prod *= coef(k - i, g)
-                if not prod:
-                    break
-            total += prod
-    return total
+    return _newton_sum([math.prod(coef(c, g) for g in spec.delta) for c in range(spec.n + 1)])
 
 
 def beta_equal_by_subsets(spec: words.AscentSetSpec, strict: bool = False) -> int:
@@ -285,25 +309,17 @@ def halving_sum(
     crude bound count(m, n) <= n * multichoose(mn, n), whose halved
     term ratio is eventually below 1.
     """
-    if not 0 < tail_bound <= Fraction(1, 2):
-        raise ValueError("tail_bound must be in (0, 1/2]")
 
     def crude(m: int) -> int:
         return 1 if n == 0 else n * multichoose(m * n, n)
 
-    trunc = 2 * n + 8
-    while True:
+    def tail_at(trunc: int) -> Fraction | None:
         rho = Fraction(crude(trunc + 1), 2 * crude(trunc))
-        if rho < 1:
-            first = Fraction(crude(trunc + 1), 2 ** (trunc + 2))
-            tail = first / (1 - rho)
-            if tail < tail_bound:
-                break
-        if trunc > 4096:
-            raise UnconvergedError(
-                f"halving sum for n={n} did not certify below {tail_bound}"
-            )
-        trunc *= 2
+        if rho >= 1:
+            return None
+        return Fraction(crude(trunc + 1), 2 ** (trunc + 2)) / (1 - rho)
+
+    trunc, tail = _certify(f"halving sum for n={n}", tail_at, 2 * n + 8, tail_bound)
     num = sum(
         count_genmat(m, n, binary=binary) * 2 ** (trunc - m) for m in range(trunc + 1)
     )
@@ -311,18 +327,9 @@ def halving_sum(
 
 
 def halving_sum_exact(n: int, binary: bool = False) -> int:
-    """The same sum evaluated exactly by Newton's forward differences.
-
-    count(m, n) is a degree-n polynomial in m, and the halved weights
-    integrate binom(m, j) to exactly 1, so the sum telescopes to
-    sum_j (j-th forward difference at 0).
-    """
-    values = [count_genmat(m, n, binary=binary) for m in range(n + 1)]
-    total = 0
-    for j in range(n + 1):
-        diff = sum((-1) ** (j - i) * binomial(j, i) * values[i] for i in range(j + 1))
-        total += diff
-    return total
+    """The same sum evaluated exactly: count(m, n) is a degree-n
+    polynomial in m, so the sum is the Newton sum of its first n+1 values."""
+    return _newton_sum([count_genmat(m, n, binary=binary) for m in range(n + 1)])
 
 
 def double_sum_mat(
@@ -340,27 +347,17 @@ def double_sum_mat(
     2 * T * (S + T) / (4 n!) with f(r) = (r+n)^n / 2^r,
     S = sum_{r<=M} f(r) and T a geometric bound on sum_{r>M} f(r).
     """
-    if not 0 < tail_bound <= Fraction(1, 2):
-        raise ValueError("tail_bound must be in (0, 1/2]")
-    coef = binomial if binary else multichoose
-    nf = math.factorial(n)
-    trunc = 2 * n + 8
-    while True:
-        first = Fraction((trunc + 1 + n) ** n, 2 ** (trunc + 1))
+
+    def tail_at(trunc: int) -> Fraction | None:
         rho = Fraction((trunc + n + 2) ** n, 2 * (trunc + n + 1) ** n)
-        if rho < 1:
-            tail_f = first / (1 - rho)
-            s_all = (
-                sum(Fraction((r + n) ** n, 2**r) for r in range(trunc + 1)) + tail_f
-            )
-            tail = 2 * tail_f * s_all / (4 * nf)
-            if tail < tail_bound:
-                break
-        if trunc > 4096:
-            raise UnconvergedError(
-                f"double sum for n={n} did not certify below {tail_bound}"
-            )
-        trunc *= 2
+        if rho >= 1:
+            return None
+        tail_f = Fraction((trunc + 1 + n) ** n, 2 ** (trunc + 1)) / (1 - rho)
+        s_all = sum(Fraction((r + n) ** n, 2**r) for r in range(trunc + 1)) + tail_f
+        return 2 * tail_f * s_all / (4 * math.factorial(n))
+
+    trunc, tail = _certify(f"double sum for n={n}", tail_at, 2 * n + 8, tail_bound)
+    coef = binomial if binary else multichoose
     num = sum(
         coef(r * s, n) * 2 ** (2 * trunc - r - s)
         for r in range(trunc + 1)
@@ -932,11 +929,12 @@ def check_species_series(max_n: int, max_m: int) -> list[CheckResult]:
 
     weights = list(_grid(binary=(False, True), s=range(1, 4), t=range(1, 4)))
     by_weight = {tuple(w.values()): weighted(**w) for w in weights}
+    two_sided = {(b, n): two_sided_formula(n, b) for b in (False, True) for n in range(order + 1)}
     failures += _disagreements(
         ({**w, "n": n} for w in weights for n in range(order + 1)),
         lambda binary, s, t, n: {
             "weighted": by_weight[binary, s, t][n],
-            "two-sided": two_sided_formula(n, strict=binary).eval(s, t),
+            "two-sided": two_sided[binary, n].eval(s, t),
         },
     )
     return [

@@ -150,25 +150,20 @@ def exact_div(num: int, den: int) -> int:
 # composition generators
 
 
-def compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
+def compositions(n: int) -> Iterator[tuple[int, ...]]:
     """Compositions of n into positive parts, first part descending.
 
-    With ``parts`` given, only compositions of exactly that length are
-    produced.  The descending-first-part order makes the weakly
-    increasing words 1^a1 2^a2 ... read off from successive compositions
-    come out in lexicographic order.
+    The descending-first-part order makes the weakly increasing words
+    1^a1 2^a2 ... read off from successive compositions come out in
+    lexicographic order.
     """
     if n < 0:
         raise ValueError("compositions needs n >= 0")
     if n == 0:
-        if parts is None or parts == 0:
-            yield ()
-        return
-    if parts == 0:
+        yield ()
         return
     for first in range(n, 0, -1):
-        rest_parts = None if parts is None else parts - 1
-        for rest in compositions(n - first, rest_parts):
+        for rest in compositions(n - first):
             yield (first,) + rest
 
 

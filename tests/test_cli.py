@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cayburge
-from cayburge import words
+from cayburge import identities, words
 from cayburge.cli import main, parse_bfile
 
 
@@ -356,6 +356,15 @@ def test_bounds_rejected_then_overridden(capsys):
     assert code == 2
 
 
+def test_count_enumerate_takes_the_enumerate_caps(capsys):
+    argv = ("count", "genmat", "--rows", "9", "--size", "2", "--method", "enumerate")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--rows 9" in err and "bound 8" in err
+    code, out, _ = run_cli(capsys, *argv, "--unsafe-bounds")
+    assert code == 0 and out.strip() == "126"
+
+
 def test_negative_arguments_rejected(capsys):
     code, _, err = run_cli(capsys, "count", "mat", "--n", "-1")
     assert code == 2
@@ -389,6 +398,12 @@ def test_verify_pass_and_formats(capsys):
     assert payload["summary"]["fail"] == 0
     names = [c["name"] for c in payload["checks"]]
     assert "carlitz-pairing" in names
+
+
+def test_verify_refuses_csv_before_any_check_runs(capsys, monkeypatch):
+    monkeypatch.setattr(identities, "run_suite", lambda *args: pytest.fail("a check ran"))
+    code, out, err = run_cli(capsys, "verify", "kernel", "--format", "csv")
+    assert code == 2 and out == "" and "csv" in err
 
 
 def test_verify_bounds(capsys):

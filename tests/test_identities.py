@@ -467,3 +467,62 @@ def test_certified_checks_honour_the_tail_bound():
     unconverged = identities.check_halving(2, Fraction(1, 2**9000))
     assert [r.status for r in unconverged] == ["unconverged"] * 2
     assert unconverged[0].witness == {"n": 0}
+
+
+def _ignoring_strict(real):
+    return lambda n, strict: real(n, False)
+
+
+def _without_its_last_difference(real):
+    # the j-th forward difference reads values[: j + 1] only
+    return lambda values: real(values[:-1])
+
+
+def _cut_to_a_quarter(real):
+    def certify(what, tail_at, start, tail_bound):
+        trunc, tail = real(what, tail_at, start, tail_bound)
+        return trunc // 4, tail
+
+    return certify
+
+
+@pytest.mark.parametrize(
+    "helper, perturb, check, bounds, name, routes",
+    [
+        ("_stirling_row", _ignoring_strict, "check_count_methods", (5, 2),
+         "count-genmat-method-agreement", GENMAT_METHODS),
+        ("_stirling_row", _ignoring_strict, "check_caylerian", (5,),
+         "caylerian-formula-vs-brute", ("formula", "brute")),
+        ("_stirling_row", _ignoring_strict, "check_two_sided", (5,),
+         "two-sided-formula-vs-brute", ("formula", "brute")),
+        ("_newton_sum", _without_its_last_difference, "check_count_methods", (5, 2),
+         "count-genmat-method-agreement", GENMAT_METHODS),
+        ("_newton_sum", _without_its_last_difference, "check_beta", (5,),
+         "beta-formula-vs-brute", ("formula", "brute")),
+        ("_newton_sum", _without_its_last_difference, "check_halving", (5,),
+         "halving-sum-general", ("count", "certified", "newton")),
+        ("_newton_sum", _without_its_last_difference, "check_halving", (5,),
+         "halving-sum-binary", ("count", "certified", "newton")),
+        ("_certify", _cut_to_a_quarter, "check_halving", (5,),
+         "halving-sum-general", ("count", "certified", "newton")),
+    ],
+    ids=[
+        "stirling-unsigned-genmat",
+        "stirling-unsigned-caylerian",
+        "stirling-unsigned-two-sided",
+        "newton-short-genmat",
+        "newton-short-beta",
+        "newton-short-halving-general",
+        "newton-short-halving-binary",
+        "certify-short-halving",
+    ],
+)
+def test_closed_form_summations_are_load_bearing(
+    monkeypatch, helper, perturb, check, bounds, name, routes
+):
+    """A wrong Stirling row, Newton sum or certified truncation fails a
+    check whose other routes do not use it, with every route in the witness."""
+    monkeypatch.setattr(identities, helper, perturb(getattr(identities, helper)))
+    results = {r.name: r for r in getattr(identities, check)(*bounds)}
+    assert results[name].status == "fail"
+    assert set(routes) <= set(results[name].witness)

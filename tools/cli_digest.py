@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""One md5 over what a fixed set of `cayburge` commands print.
+
+Runs each command in-process through `cayburge.cli.main` and hashes its
+argv, exit code (or the exception it raised), stdout and stderr, in
+order.  Two checkouts that print the same digest gave byte-identical
+output on every command, so a change meant to keep the output as it is
+can be checked against its parent:
+
+    git archive <parent> | tar -x -C /tmp/parent
+    python3 tools/cli_digest.py --src /tmp/parent/src
+    python3 tools/cli_digest.py
+
+The set covers the verify suites (one unconverged), every closed-form
+count method, both certified sums, both polynomial formulas past the
+formula cap, and the ten enumerate commands of the benchmark's
+enumerate-stream workload.  It takes under a minute on one core.
+Standard library only.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# the CLI's formula cap, fixed here so that every checkout runs the same argv
+FORMULA_BOUND = 12
+
+
+def _sized(argv: list[str], size: int) -> list[str]:
+    return argv + ["--unsafe-bounds"] if size > FORMULA_BOUND else argv
+
+
+def commands() -> list[list[str]]:
+    out = [
+        ["verify", "all", "--format", "json", "--max-n", "5", "--max-m", "2"],
+        ["verify", "all", "--format", "json", "--max-n", "5", "--max-m", "3"],
+        *(["verify", suite, "--max-n", "8", "--max-m", "8"] for suite in ("formulas", "gf", "pairing")),
+        ["verify", "gf", "--max-n", "3", "--tail-bound", f"1/{2**9000}"],
+    ]
+    for method in ("compositions", "stirling", "inclexcl", "ogf-coefficient"):
+        for m in range(7):
+            for n in range(16):
+                for variant in ([], ["--binary"]):
+                    argv = ["count", "genmat", "--rows", str(m), "--size", str(n), "--method", method]
+                    out.append(_sized(argv + variant, n))
+    for method in ("stirling", "double-sum"):
+        for n in [*range(21), 25]:
+            for variant in ([], ["--binary"]):
+                out.append(_sized(["count", "mat", "--n", str(n), "--method", method] + variant, n))
+    for obj in ("caylerian", "two-sided"):
+        for n in range(21):
+            for variant in ([], ["--strict"]):
+                out.append(_sized(["poly", obj, "--n", str(n)] + variant, n))
+    out += [
+        ["enumerate", "cayley", "--n", "8", "--unsafe-bounds"],
+        ["enumerate", "ballot", "--n", "7"],
+        ["enumerate", "burge", "--n", "6"],
+        ["enumerate", "burge", "--n", "6", "--binary"],
+        ["enumerate", "mat", "--n", "6"],
+        ["enumerate", "mat", "--n", "6", "--format", "csv"],
+        ["enumerate", "genmat", "--rows", "3", "--size", "6"],
+        ["enumerate", "genmat", "--rows", "4", "--size", "5", "--format", "json"],
+        ["enumerate", "signed", "--rows", "3", "--size", "5"],
+        ["enumerate", "signed", "--rows", "3", "--size", "6", "--ascents", "2,4"],
+    ]
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding cayburge/")
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.src.resolve()))
+    from cayburge import cli
+
+    print(f"cayburge from {Path(cli.__file__).parent}", file=sys.stderr)
+    argvs = commands()
+    digest = hashlib.md5()
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # the shell would show a traceback: hash what raised
+                code = f"{type(exc).__name__}: {exc}"
+        digest.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
+    print(f"{digest.hexdigest()}  {len(argvs)} commands")
+
+
+if __name__ == "__main__":
+    main()
