@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -46,31 +47,33 @@ CACHE_ENV = "CAYBURGE_CACHE_DIR"
 # rendering
 
 
+# letter -> its digit, for words whose letters are all below 10
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def _render_word(w: tuple[int, ...]) -> str:
     if not w:
         return "eps"
     if max(w) <= 9:
-        return "".join(str(c) for c in w)
-    return " ".join(str(c) for c in w)
+        return bytes(w).translate(_DIGITS).decode()
+    return " ".join(map(str, w))
 
 
 def _render_ballot(ballot) -> str:
-    return "".join("{" + ",".join(str(i) for i in sorted(b)) + "}" for b in ballot)
+    return "".join(["{" + ",".join(map(str, sorted(b))) + "}" for b in ballot])
 
 
 def _render_mat(mat) -> str:
-    return "[" + "; ".join(" ".join(str(e) for e in row) for row in mat) + "]"
+    return "[" + "; ".join([" ".join(map(str, row)) for row in mat]) + "]"
 
 
 def _render_lomat(m) -> str:
-    rows = []
-    for row in m.entries:
-        rows.append(" ".join(_render_word(e) if e else "." for e in row))
+    rows = [" ".join([_render_word(e) if e else "." for e in row]) for row in m.entries]
     return "[" + "; ".join(rows) + "]"
 
 
 def _render_signed(sm) -> str:
-    signs = "".join("+" if s == 1 else "-" for s in sm.signs)
+    signs = "".join(["+" if s == 1 else "-" for s in sm.signs])
     return f"signs={signs or '()'} {_render_lomat(sm.matrix)}"
 
 
@@ -500,10 +503,17 @@ def _cmd_oeis(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and not at import, so that
+    importing the CLI stays cheap.  Parsing leaves it unchanged, so every
+    later `main` call in the process reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error, or --help
         return exc.code
     return args.func(args)

@@ -69,40 +69,64 @@ def is_cayley_word(w: Word) -> bool:
 def enumerate_cayley(n: int) -> Iterator[Word]:
     """Yield every Cayley permutation of size n once, in lexicographic order.
 
-    Depth-first search over positions.  The state is the largest value
-    used so far plus a bitmask of the values below it that are still
-    missing; a branch dies as soon as the missing values cannot all fit
-    in the remaining positions.
+    An iterative lexicographic successor, in the manner of the
+    restricted-growth-string generators of Knuth (TAOCP 4A, 7.2.1.5).
+    The prefix word[:i] is summarised by top[i], its largest value, and
+    missing[i], a bitmask with bit v - 1 set for each v < top[i] absent
+    from it.  A prefix is feasible when its missing values fit in the
+    positions left.  Each round yields every feasible last letter of the
+    current prefix of length n - 1 (its one missing value, or 1..top + 1
+    when nothing is missing), then raises the rightmost position that
+    can take a larger feasible value and refills the positions after it
+    with their smallest completion: 1 while there is slack, else the
+    smallest missing value.
     """
     if n < 0:
         raise ValueError("enumerate_cayley needs n >= 0")
     if n == 0:
         yield ()
         return
-    word = [0] * n
-
-    def extend(pos: int, top: int, missing: int) -> Iterator[Word]:
-        slots = n - pos
-        if slots == 0:
-            if not missing:
-                yield tuple(word)
-            return
-        mcount = missing.bit_count()
-        for v in range(1, top + 1):
-            bit = 1 << (v - 1)
-            left = mcount - 1 if missing & bit else mcount
-            if left <= slots - 1:
-                word[pos] = v
-                yield from extend(pos + 1, top, missing & ~bit)
-        for v in range(top + 1, n + 1):
-            # values top+1 .. v-1 become missing; each further v adds one more
-            if mcount + (v - top - 1) > slots - 1:
+    last = n - 1
+    word = [1] * last
+    top = [0] + [1] * last
+    missing = [0] * n
+    while True:
+        prefix = tuple(word)
+        m = missing[last]
+        if m:  # exactly one value is missing, and the last letter is it
+            yield prefix + (m.bit_length(),)
+        else:
+            for v in range(1, top[last] + 2):
+                yield prefix + (v,)
+        # the rightmost position i < n - 1 whose value can grow, and its next value
+        i = last - 1
+        while i >= 0:
+            v, t, m = word[i], top[i], missing[i]
+            slots, count = last - i, m.bit_count()  # positions after i, values to place
+            if count > slots:  # no slack: only a missing value above v fits
+                higher = m >> v
+                if higher:
+                    v += (higher & -higher).bit_length()
+                    break
+            elif count + max(0, v - t) <= slots:  # v + 1 adds max(0, v - t) missing values
+                v += 1
                 break
-            word[pos] = v
-            gained = ((1 << (v - 1)) - 1) & ~((1 << top) - 1)
-            yield from extend(pos + 1, v, missing | gained)
-
-    yield from extend(0, 0, 0)
+            i -= 1
+        else:
+            return
+        # place v at i, then the smallest completion of word[:i + 1] up to n - 1
+        while True:
+            word[i] = v
+            t, m = top[i], missing[i]
+            i += 1
+            if v <= t:
+                top[i], missing[i] = t, m & ~(1 << (v - 1))
+            else:
+                top[i], missing[i] = v, m | ((1 << (v - 1)) - (1 << t))
+            if i == last:
+                break
+            m = missing[i]
+            v = 1 if m.bit_count() < n - i else (m & -m).bit_length()
 
 
 def enumerate_linear_orders(n: int) -> Iterator[Word]:

@@ -10,14 +10,21 @@ from pathlib import Path
 import pytest
 
 import cayburge
-from cayburge import identities, words
-from cayburge.cli import main, parse_bfile
+from cayburge import identities, lomat, words
+from cayburge.cli import _render_signed, _render_word, main, parse_bfile
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_env(**extra) -> dict:
+    """The environment of a fresh `python -m cayburge.cli` that imports
+    this checkout's package."""
+    paths = [str(Path(cayburge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **extra)
 
 
 def test_count_genmat(capsys):
@@ -242,6 +249,14 @@ def test_enumerate_ascents_pinned_output(capsys, command):
     assert (code, out, err) == (0, ASCENTS_PINNED[command], "")
 
 
+def test_render_edge_branches():
+    assert _render_word(()) == "eps"
+    assert _render_word((10, 2, 1)) == "10 2 1"  # no enumerate command reaches it below n = 10
+    assert _render_word((9, 1, 2, 1)) == "9121"
+    no_rows = lomat.SignedLOMatrix(lomat.from_length_grid(()), ())
+    assert _render_signed(no_rows) == "signs=() []"
+
+
 @pytest.mark.parametrize(
     "fmt, first",
     [("text", "12\n"), ("csv", "value\r\n12\r\n"), ("json", '"value": [[1, 2]')],
@@ -320,13 +335,11 @@ def test_count_refuses_flags_the_object_does_not_read(capsys, command, unread):
     ],
 )
 def test_closed_stdout_pipe_exits_141_without_traceback(argv, lines_read):
-    paths = [str(Path(cayburge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.Popen(
         [sys.executable, "-m", "cayburge.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=fresh_env(),
     )
     for _ in range(lines_read):
         assert proc.stdout.readline()
@@ -334,6 +347,30 @@ def test_closed_stdout_pipe_exits_141_without_traceback(argv, lines_read):
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_main_answers_as_a_fresh_process_on_every_call(capsys, monkeypatch):
+    # main reuses one parser per process; usage and help text wrap at COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [
+        ["count", "genmat", "--rows", "two", "--size", "5"],
+        ["--help"],
+        ["count", "genmat", "--rows", "2", "--size", "5"],
+        ["enumerate", "cayley", "--n", "2", "--binary"],
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in sequence * 2]
+    fresh = []
+    for argv in sequence:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cayburge.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=fresh_env(COLUMNS="80"),
+            timeout=60,
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 2]
+    assert in_process == fresh * 2
 
 
 def test_bounds_rejected_then_overridden(capsys):

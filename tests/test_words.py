@@ -1,5 +1,6 @@
 """Cayley permutations, ballots, descent statistics, ascent-set counts."""
 
+import inspect
 import itertools
 import math
 
@@ -27,7 +28,7 @@ from cayburge.words import (
     stat_set,
 )
 
-FUBINI = [1, 1, 3, 13, 75, 541, 4683, 47293]
+FUBINI = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835]
 
 CAY3 = [
     (1, 1, 1),
@@ -64,7 +65,7 @@ def test_enumerate_cayley_small_exact():
 
 
 def test_enumerate_cayley_counts_and_order():
-    for n in range(8):
+    for n in range(9):
         got = list(enumerate_cayley(n))
         assert len(got) == FUBINI[n]
         assert got == sorted(got)
@@ -73,7 +74,7 @@ def test_enumerate_cayley_counts_and_order():
 
 
 def test_enumerate_cayley_matches_filter():
-    for n in range(6):
+    for n in range(7):
         brute = [
             w
             for w in itertools.product(range(1, n + 1), repeat=n)
@@ -82,6 +83,13 @@ def test_enumerate_cayley_matches_filter():
         if n == 0:
             brute = [()]
         assert list(enumerate_cayley(n)) == sorted(brute)
+
+
+def test_enumerate_cayley_rejects_negative_n_on_its_first_step():
+    words = enumerate_cayley(-1)
+    assert inspect.isgenerator(words)
+    with pytest.raises(ValueError):
+        next(words)
 
 
 def test_is_cayley_word():

@@ -13,15 +13,23 @@ can be checked against its parent:
 
 The set covers the verify suites (one unconverged), every closed-form
 count method, both certified sums, both polynomial formulas past the
-formula cap, and the ten enumerate commands of the benchmark's
-enumerate-stream workload.  It takes under a minute on one core.
-Standard library only.
+formula cap, the ten enumerate commands of the benchmark's
+enumerate-stream workload, every enumerable object in text, json and
+csv at sizes 0-2 (each --binary variant too), argparse's own failures
+(an unknown subcommand, a bad choice, a bad integer) and --help, one
+refused flag, and the same parse errors again after valid commands, so
+that a parser reused across calls shows.  Help and usage text wrap at
+COLUMNS, which is fixed at 80 here; argparse's wording can differ
+between Python versions, so compare digests made by the same
+interpreter.  It takes under a minute on one core.  Standard library
+only.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -67,13 +75,38 @@ def commands() -> list[list[str]]:
         ["enumerate", "signed", "--rows", "3", "--size", "5"],
         ["enumerate", "signed", "--rows", "3", "--size", "6", "--ascents", "2,4"],
     ]
-    return out
+    # each enumerable object at the smallest sizes, in every format
+    by_n = [["--n", str(n)] for n in range(3)]
+    by_grid = [["--rows", str(m), "--size", str(n)] for m in range(3) for n in range(3)]
+    binary = [[], ["--binary"]]
+    small = {
+        "cayley": by_n,
+        "ballot": by_n,
+        "burge": [s + b for s in by_n for b in binary],
+        "mat": [s + b for s in by_n for b in binary],
+        "genmat": [s + b for s in by_grid for b in binary],
+        "signed": by_grid,
+    }
+    for obj, sizes in small.items():
+        for flags in sizes:
+            for fmt in ("text", "json", "csv"):
+                out.append(["enumerate", obj, *flags, "--format", fmt])
+    failures = [
+        ["frobnicate"],
+        ["enumerate", "permutation", "--n", "2"],
+        ["count", "genmat", "--rows", "two", "--size", "2"],
+        ["--help"],
+        ["enumerate", "--help"],
+        ["enumerate", "cayley", "--n", "2", "--binary"],
+    ]
+    return failures + out + failures
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding cayburge/")
     args = parser.parse_args()
+    os.environ["COLUMNS"] = "80"
     sys.path.insert(0, str(args.src.resolve()))
     from cayburge import cli
 
