@@ -1,125 +1,17 @@
 """Exact enumeration and cross-verification of Cayley permutations,
 Burge matrices, matrices of linear orders, and the identities tying
-their counts together."""
+their counts together.
 
-from .kernel import (
-    BiPoly,
-    IntPoly,
-    RatSeries,
-    ballot_block_poly,
-    binomial,
-    fubini,
-    multichoose,
-    stirling1,
-    stirling2,
-)
-from .words import (
-    AscentSetSpec,
-    alpha_count,
-    ascent_set,
-    beta_brute,
-    beta_perm_determinant,
-    caylerian_brute,
-    cayley_to_ballot,
-    ballot_to_cayley,
-    descent_set,
-    enumerate_ballots,
-    enumerate_cayley,
-    is_cayley_word,
-    stat_set,
-)
-from .burge import (
-    BurgeWord,
-    enumerate_burge,
-    enumerate_mat,
-    matrix_to_word,
-    two_sided_brute,
-    word_to_matrix,
-)
-from .lomat import (
-    AtomBallot,
-    LinOrderMatrix,
-    SignedLOMatrix,
-    act,
-    atoms,
-    enumerate_genmat,
-    enumerate_signed,
-    factor_action,
-    from_atom_ballot,
-    gamma,
-    prod,
-    tau,
-    to_atom_ballot,
-)
-from .identities import (
-    CheckResult,
-    UnconvergedError,
-    beta_formula,
-    carlitz_series,
-    caylerian_formula,
-    count_genmat,
-    count_mat,
-    double_sum_mat,
-    halving_sum,
-    pairing_check,
-    run_suite,
-    two_sided_formula,
-)
+Each module's ``__all__`` declares its public API; the package root
+re-exports those lists, in layer order."""
 
-__all__ = [
-    "BiPoly",
-    "IntPoly",
-    "RatSeries",
-    "ballot_block_poly",
-    "binomial",
-    "fubini",
-    "multichoose",
-    "stirling1",
-    "stirling2",
-    "AscentSetSpec",
-    "alpha_count",
-    "ascent_set",
-    "beta_brute",
-    "beta_perm_determinant",
-    "caylerian_brute",
-    "cayley_to_ballot",
-    "ballot_to_cayley",
-    "descent_set",
-    "enumerate_ballots",
-    "enumerate_cayley",
-    "is_cayley_word",
-    "stat_set",
-    "BurgeWord",
-    "enumerate_burge",
-    "enumerate_mat",
-    "matrix_to_word",
-    "two_sided_brute",
-    "word_to_matrix",
-    "AtomBallot",
-    "LinOrderMatrix",
-    "SignedLOMatrix",
-    "act",
-    "atoms",
-    "enumerate_genmat",
-    "enumerate_signed",
-    "factor_action",
-    "from_atom_ballot",
-    "gamma",
-    "prod",
-    "tau",
-    "to_atom_ballot",
-    "CheckResult",
-    "UnconvergedError",
-    "beta_formula",
-    "carlitz_series",
-    "caylerian_formula",
-    "count_genmat",
-    "count_mat",
-    "double_sum_mat",
-    "halving_sum",
-    "pairing_check",
-    "run_suite",
-    "two_sided_formula",
-]
+from . import burge, identities, kernel, lomat, words
+from .kernel import *
+from .words import *
+from .burge import *
+from .lomat import *
+from .identities import *
+
+__all__ = [*kernel.__all__, *words.__all__, *burge.__all__, *lomat.__all__, *identities.__all__]
 
 __version__ = "0.1.0"

@@ -44,10 +44,6 @@ class BurgeWord(NamedTuple):
     u: Word
     v: Word
 
-    @property
-    def size(self) -> int:
-        return len(self.u)
-
 
 def is_burge_word(bw: BurgeWord, binary: bool = False) -> bool:
     u, v = bw

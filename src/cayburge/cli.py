@@ -134,6 +134,17 @@ def _unread_error(args, reads: tuple[str, ...]) -> str | None:
     return None
 
 
+def _ascent_positions(text: str) -> tuple[int, ...]:
+    """An --ascents value: comma-separated positions, maybe none."""
+    positions = []
+    for field in text.split(",") if text.strip() else ():
+        try:
+            positions.append(int(field))
+        except ValueError:
+            raise ValueError(f"--ascents: cannot parse {field!r} as a position") from None
+    return tuple(positions)
+
+
 def _tail_bound(text: str) -> Fraction:
     """A --tail-bound value: a fraction in (0, 1/2], such as 1/4."""
     try:
@@ -258,8 +269,8 @@ def _cmd_enumerate(args) -> int:
 
     chosen = {f: getattr(args, f) for f in flags}
     try:
-        if chosen.get("ascents") is not None:  # comma-separated positions, maybe none
-            positions = tuple(int(p) for p in args.ascents.split(",")) if args.ascents.strip() else ()
+        if chosen.get("ascents") is not None:
+            positions = _ascent_positions(args.ascents)
             chosen["ascents"] = words.AscentSetSpec(args.n if "n" in chosen else args.size, positions)
         objects = generate(**chosen)
         # a generator checks its arguments on its first step: take it

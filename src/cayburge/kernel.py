@@ -294,12 +294,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def compose(self, inner: "IntPoly") -> "IntPoly":
-        acc = IntPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + IntPoly((c,))
-        return acc
-
     def reverse_coefficients(self, deg: int) -> "IntPoly":
         """Mirror the coefficient window 0..deg, i.e. t^deg * p(1/t)."""
         if self.degree > deg:

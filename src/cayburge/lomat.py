@@ -52,7 +52,6 @@ __all__ = [
     "atom_count",
     "xi_atoms",
     "tau",
-    "length_grid",
     "from_length_grid",
     "to_atom_ballot",
     "from_atom_ballot",
@@ -244,10 +243,6 @@ def tau(m: LinOrderMatrix) -> LinOrderMatrix:
 
 # ---------------------------------------------------------------------------
 # length grids (the bridge to integer Burge matrices)
-
-
-def length_grid(m: LinOrderMatrix) -> tuple[tuple[int, ...], ...]:
-    return m.grid
 
 
 def from_length_grid(grid: Sequence[Sequence[int]]) -> LinOrderMatrix:

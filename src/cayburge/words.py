@@ -46,10 +46,7 @@ __all__ = [
     "cayley_to_ballot",
     "descent_mask",
     "stat_set",
-    "descent_set",
     "ascent_set",
-    "reverse",
-    "complement",
     "caylerian_brute",
     "AscentSetSpec",
     "alpha_count",
@@ -186,23 +183,8 @@ def stat_set(w: Word, kind: StatKind) -> frozenset[int]:
     return frozenset(i for i in range(1, len(w)) if mask >> (i - 1) & 1)
 
 
-def descent_set(w: Word, strict: bool = False) -> frozenset[int]:
-    return stat_set(w, "strict-descent" if strict else "weak-descent")
-
-
 def ascent_set(w: Word, strict: bool = False) -> frozenset[int]:
     return stat_set(w, "strict-ascent" if strict else "weak-ascent")
-
-
-def reverse(w: Word) -> Word:
-    return tuple(w[::-1])
-
-
-def complement(w: Word) -> Word:
-    if not w:
-        return ()
-    k = max(w)
-    return tuple(k + 1 - v for v in w)
 
 
 def caylerian_brute(n: int, strict: bool = False) -> IntPoly:

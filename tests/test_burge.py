@@ -18,7 +18,7 @@ from cayburge.burge import (
     two_sided_brute,
     word_to_matrix,
 )
-from cayburge.words import AscentSetSpec, descent_set
+from cayburge.words import AscentSetSpec, stat_set
 
 # |Mat[n]| and |BMat[n]| anchors from shape-wise inclusion-exclusion
 # (see tools/make_fixtures.py for the independent derivation)
@@ -42,7 +42,7 @@ def test_worked_biword_roundtrip():
     assert is_burge_word(bw)
     assert word_to_matrix(bw) == m
     assert matrix_to_word(m) == bw
-    assert bw.size == 9 == sum(map(sum, m))
+    assert len(bw.u) == 9 == sum(map(sum, m))
 
 
 def test_is_burge_word():
@@ -133,7 +133,7 @@ def test_descents_transfer_to_matrix_shape():
         m = word_to_matrix(bw)
         assert len(m) == max(bw.u)
         assert len(m[0]) == max(bw.v)
-        assert descent_set(bw.u) <= descent_set(bw.v)
+        assert stat_set(bw.u, "weak-descent") <= stat_set(bw.v, "weak-descent")
 
 
 def test_word_to_matrix_rejects_non_burge():

@@ -153,6 +153,12 @@ def test_enumerate_mat_with_ascents(capsys):
     ]
 
 
+def test_enumerate_names_a_bad_ascents_field(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "mat", "--n", "3", "--ascents", "1,x")
+    assert code == 2 and out == ""
+    assert err.strip() == "--ascents: cannot parse 'x' as a position"
+
+
 def test_enumerate_deterministic(capsys):
     _, first, _ = run_cli(capsys, "enumerate", "mat", "--n", "3")
     _, second, _ = run_cli(capsys, "enumerate", "mat", "--n", "3")

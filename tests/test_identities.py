@@ -427,6 +427,8 @@ def _xi_atoms_flipped_on_one(real, one=lomat.LinOrderMatrix((2, 1), ((2,),))):
         ("xi_atoms", _xi_atoms_flipped_on_one, "check_tau"),
         ("enumerate_signed", _without_its_first, "check_gamma"),
         ("enumerate_lomat", _without_its_first, "check_tau"),
+        ("enumerate_mat_normalized", _without_its_first, "check_tau_row_complete"),
+        ("xi_atoms", _xi_atoms_flipped_on_one, "check_tau_row_complete"),
     ],
     ids=[
         "gamma-identity",
@@ -436,18 +438,22 @@ def _xi_atoms_flipped_on_one(real, one=lomat.LinOrderMatrix((2, 1), ((2,),))):
         "xi-atoms-flipped-on-one",
         "signed-loses-one",
         "lomat-loses-one",
+        "row-complete-loses-one",
+        "row-complete-xi-atoms-flipped-on-one",
     ],
 )
 def test_involution_walk_is_load_bearing(monkeypatch, route, perturb, check):
-    """A broken involution, sign or family never lets both results of its
+    """A broken involution, sign or family never lets every result of its
     check pass: the matching walk and the signed sum together carry the
-    proof.  The other involution checks are stubbed out."""
-    monkeypatch.setattr(lomat, route, perturb(getattr(lomat, route)))
+    proof.  The other involution checks are stubbed out, and the check's
+    unperturbed run at n, m <= 1 gives the number of results to expect."""
     for other, _, _ in SUITES["involutions"]:
         if other != check:
             monkeypatch.setattr(identities, other, lambda *bounds: [])
+    expected = len(run_suite("involutions", 1, 1))
+    monkeypatch.setattr(lomat, route, perturb(getattr(lomat, route)))
     results = run_suite("involutions", 5, 2)
-    assert len(results) == 2 and not all(r.ok for r in results)
+    assert len(results) == expected and not all(r.ok for r in results)
 
 
 def test_word_matrix_image_is_counted_against_the_closed_form(monkeypatch):

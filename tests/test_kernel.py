@@ -200,12 +200,6 @@ def test_intpoly_reverse_and_divide():
         IntPoly([1, 2]).divide_exact(2)
 
 
-def test_intpoly_compose():
-    p = IntPoly([1, 2, 1])  # (1+t)^2
-    q = IntPoly([0, 3])
-    assert p.compose(q) == IntPoly([1, 6, 9])
-
-
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(IntPoly)
 
 

@@ -23,7 +23,6 @@ from cayburge.lomat import (
     from_length_grid,
     gamma,
     leftmost_empty_column,
-    length_grid,
     prod,
     split_atoms,
     tau,
@@ -198,11 +197,11 @@ def test_tau_fixed_points_are_singleton_matrices():
 
 def test_length_grid_roundtrip():
     grid = ((0, 1, 2), (3, 0, 0), (0, 0, 0), (1, 0, 2))
-    assert length_grid(A) == grid
+    assert A.grid == grid
     assert from_length_grid(grid) == A
     for n in range(5):
         for mat in enumerate_genmat(2, n):
-            assert from_length_grid(length_grid(mat)) == mat
+            assert from_length_grid(mat.grid) == mat
 
 
 def test_validate_errors():
@@ -279,7 +278,7 @@ def test_enumerate_mat_normalized_matches_burge_grids():
         for binary in (False, True):
             got = list(enumerate_mat_normalized(n, binary=binary))
             assert all(not mat.has_empty_row() for mat in got)
-            assert {length_grid(mat) for mat in got} == set(
+            assert {mat.grid for mat in got} == set(
                 enumerate_mat(n, binary=binary)
             )
             assert len(got) == sum(1 for _ in enumerate_mat(n, binary=binary))
@@ -291,7 +290,7 @@ def test_signed_g_1_2_is_six_structures():
     # no-empty-column structures
     got = list(enumerate_signed(1, 2))
     assert len(got) == 6
-    by_key = {(length_grid(s.matrix), s.signs) for s in got}
+    by_key = {(s.matrix.grid, s.signs) for s in got}
     assert by_key == {
         (((2,),), (1,)),
         (((2, 0),), (1, 1)),
@@ -346,7 +345,7 @@ def test_signed_row_filter():
     spec = AscentSetSpec(2, (1,))
     got = list(enumerate_signed(2, 2, row_sums_spec=spec))
     assert all(
-        tuple(map(sum, length_grid(s.matrix))) == (1, 1) for s in got
+        tuple(map(sum, s.matrix.grid)) == (1, 1) for s in got
     )
     assert sum(s.xi for s in got) == 3  # matrices with row sums (1,1)
     with pytest.raises(ValueError):
@@ -421,7 +420,7 @@ def test_word_and_grid_agree_with_nested_entries(drawn):
     assert base.entries == _deal(grid, identity)
     assert mat.entries == nested
     assert tuple(c for e in _in_prod_order(nested) for c in e) == prod(mat) == w
-    assert length_grid(mat) == tuple(tuple(map(len, row)) for row in nested) == grid
+    assert mat.grid == tuple(tuple(map(len, row)) for row in nested) == grid
     assert factor_action(mat) == (w, base)
     assert LinOrderMatrix(nested) == mat and hash(LinOrderMatrix(nested)) == hash(mat)
     assert LinOrderMatrix(mat.entries) == mat
