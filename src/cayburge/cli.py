@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -141,7 +142,7 @@ def _ascent_positions(text: str) -> tuple[int, ...]:
         try:
             positions.append(int(field))
         except ValueError:
-            raise ValueError(f"--ascents: cannot parse {field!r} as a position") from None
+            raise ValueError(f"cannot parse {field!r} as a position") from None
     return tuple(positions)
 
 
@@ -268,16 +269,18 @@ def _cmd_enumerate(args) -> int:
         return _fail(f"enumerate {obj}: {error}", 2)
 
     chosen = {f: getattr(args, f) for f in flags}
+    ascents = chosen.get("ascents")
     try:
-        if chosen.get("ascents") is not None:
-            positions = _ascent_positions(args.ascents)
+        if ascents is not None:
+            positions = _ascent_positions(ascents)
             chosen["ascents"] = words.AscentSetSpec(args.n if "n" in chosen else args.size, positions)
         objects = generate(**chosen)
         # a generator checks its arguments on its first step: take it
         # before writing anything, so a bad argument leaves stdout empty
         first = list(islice(objects, 1))
     except ValueError as exc:
-        return _fail(str(exc), 2)
+        # the sizes are checked above: with --ascents, the spec or its fit is at fault
+        return _fail(("--ascents: " if ascents is not None else "") + str(exc), 2)
     params = {f: list(v.positions) if f == "ascents" else v for f, v in chosen.items() if v is not None}
     record = {"object": obj, "params": params, "method": "enumerate"}
     _write_stream(args.format, record, chain(first, objects), text, value)
@@ -372,25 +375,16 @@ def _cmd_verify(args) -> int:
         results = identities.run_suite(args.suite, args.max_n, args.max_m, args.tail_bound)
     except identities.UnconvergedError as exc:
         return _fail(str(exc), 3)
-    npass = sum(1 for r in results if r.status == "pass")
-    nfail = sum(1 for r in results if r.status == "fail")
-    nunc = sum(1 for r in results if r.status == "unconverged")
+    summary = {"pass": 0, "fail": 0, "unconverged": 0}
+    for r in results:
+        summary[r.status] += 1
     if args.format == "json":
         payload = {
             "suite": args.suite,
             "max_n": args.max_n,
             "max_m": args.max_m,
-            "checks": [
-                {
-                    "name": r.name,
-                    "params": r.params,
-                    "status": r.status,
-                    "witness": r.witness,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-            "summary": {"pass": npass, "fail": nfail, "unconverged": nunc},
+            "checks": [dataclasses.asdict(r) for r in results],
+            "summary": summary,
         }
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -403,10 +397,10 @@ def _cmd_verify(args) -> int:
             if r.witness is not None:
                 line += f"  witness={r.witness}"
             print(line)
-        print(f"{len(results)} checks: {npass} pass, {nfail} fail, {nunc} unconverged")
-    if nunc:
+        print(f"{len(results)} checks: " + ", ".join(f"{v} {k}" for k, v in summary.items()))
+    if summary["unconverged"]:
         return 3
-    return 1 if nfail else 0
+    return 1 if summary["fail"] else 0
 
 
 # ---------------------------------------------------------------------------

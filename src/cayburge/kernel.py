@@ -321,15 +321,8 @@ class BiPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[tuple[int, int], int] = {}
-        for (i, j), c in items:
-            if c:
-                clean[(i, j)] = clean.get((i, j), 0) + c
-                if not clean[(i, j)]:
-                    del clean[(i, j)]
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, terms: Mapping[tuple[int, int], int]):
+        object.__setattr__(self, "terms", {key: c for key, c in terms.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
@@ -338,25 +331,11 @@ class BiPoly:
         """Terms sorted by (deg_s, deg_t); the canonical external order."""
         return sorted(self.terms.items())
 
-    def coefficient(self, i: int, j: int) -> int:
-        return self.terms.get((i, j), 0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return BiPoly(out)
-
-    def __mul__(self, other: int) -> "BiPoly":
-        return BiPoly({key: c * other for key, c in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def divide_exact(self, den: int) -> "BiPoly":
         return BiPoly({key: exact_div(c, den) for key, c in self.terms.items()})
@@ -391,12 +370,8 @@ class RatSeries:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Iterable, order: int | None = None):
+    def __init__(self, coeffs: Iterable, order: int):
         cs = [Fraction(c) for c in coeffs]
-        if order is None:
-            if not cs:
-                raise ValueError("order is required for an empty coefficient list")
-            order = len(cs) - 1
         if order < 0:
             raise ValueError("series order must be nonnegative")
         cs = cs[: order + 1]
@@ -408,18 +383,6 @@ class RatSeries:
         raise AttributeError("RatSeries is immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "RatSeries":
-        return cls([0], order=order)
-
-    @classmethod
-    def one(cls, order: int) -> "RatSeries":
-        return cls([1], order=order)
-
-    @classmethod
-    def from_intpoly(cls, p: IntPoly, order: int) -> "RatSeries":
-        return cls(p.coeffs, order=order)
 
     @classmethod
     def geometric(cls, order: int) -> "RatSeries":
@@ -475,11 +438,6 @@ class RatSeries:
             out.append(c.numerator)
         return out
 
-    def truncate(self, order: int) -> "RatSeries":
-        if order > self.order:
-            raise SeriesError(f"cannot extend order {self.order} to {order}")
-        return RatSeries(self.coeffs[: order + 1], order=order)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatSeries)
@@ -522,26 +480,15 @@ class RatSeries:
 
     def invert_unit(self) -> "RatSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
-        if self.coeffs[0] == 0:
-            raise NeedsUnitConstantTerm("cannot invert a series with zero constant term")
-        a0 = self.coeffs[0]
-        out = [1 / a0]
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                ak = self.coeffs[k]
-                if ak:
-                    acc += ak * out[n - k]
-            out.append(-acc / a0)
-        return RatSeries(out, order=self.order)
+        # IntPoly's coefficient lookup serves Fraction coefficients as well
+        return RatSeries.from_rational(IntPoly((1,)), IntPoly(self.coeffs), self.order)
 
     def compose(self, inner: "RatSeries") -> "RatSeries":
         """Substitute ``inner`` for x; inner must have zero constant term."""
         if inner.coeffs[0] != 0:
             raise NeedsZeroConstantTerm("inner series has nonzero constant term")
         order = min(self.order, inner.order)
-        inner = inner.truncate(order) if inner.order != order else inner
-        acc = RatSeries.zero(order)
+        acc = RatSeries((), order=order)  # each product with inner truncates to order
         for c in reversed(self.coeffs[: order + 1]):
             acc = acc * inner + RatSeries([c], order=order)
         return acc

@@ -17,27 +17,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator
 
 from .kernel import IntPoly
 
 Word = tuple[int, ...]
 Ballot = tuple[frozenset[int], ...]
 
-StatKind = Literal["weak-descent", "strict-descent", "weak-ascent", "strict-ascent"]
-
-STAT_KINDS: tuple[StatKind, ...] = (
-    "weak-descent",
-    "strict-descent",
-    "weak-ascent",
-    "strict-ascent",
-)
-
 __all__ = [
     "Word",
     "Ballot",
-    "StatKind",
-    "STAT_KINDS",
     "is_cayley_word",
     "enumerate_cayley",
     "enumerate_linear_orders",
@@ -45,7 +34,6 @@ __all__ = [
     "ballot_to_cayley",
     "cayley_to_ballot",
     "descent_mask",
-    "stat_set",
     "ascent_set",
     "caylerian_brute",
     "AscentSetSpec",
@@ -171,20 +159,11 @@ def descent_mask(w: Word, strict: bool = False) -> int:
     return mask
 
 
-def stat_set(w: Word, kind: StatKind) -> frozenset[int]:
-    """Positions i (1-based, i < len(w)) where the chosen comparison holds."""
-    if kind not in STAT_KINDS:
-        raise ValueError(f"unknown statistic kind: {kind!r}")
-    # a weak ascent is no strict descent, and a strict ascent no weak one
-    ascent = kind.endswith("ascent")
-    mask = descent_mask(w, strict=kind.startswith("strict") != ascent)
-    if ascent:
-        mask = ~mask
-    return frozenset(i for i in range(1, len(w)) if mask >> (i - 1) & 1)
-
-
 def ascent_set(w: Word, strict: bool = False) -> frozenset[int]:
-    return stat_set(w, "strict-ascent" if strict else "weak-ascent")
+    """Positions i (1-based, i < len(w)) of the weak (or strict) ascents of w."""
+    # a weak ascent is no strict descent, and a strict ascent no weak one
+    mask = descent_mask(w, strict=not strict)
+    return frozenset(i for i in range(1, len(w)) if not mask >> (i - 1) & 1)
 
 
 def caylerian_brute(n: int, strict: bool = False) -> IntPoly:
@@ -250,14 +229,11 @@ def beta_brute(spec: AscentSetSpec, strict: bool = False, mode: str = "subset") 
     """
     if mode not in ("subset", "equal"):
         raise ValueError(f"unknown mode {mode!r}")
-    kind: StatKind = "strict-ascent" if strict else "weak-ascent"
     allowed = frozenset(spec.positions)
     total = 0
     for w in enumerate_cayley(spec.n):
-        a = stat_set(w, kind)
-        hit = (a == allowed) if mode == "equal" else (a <= allowed)
-        if hit:
-            total += 1
+        a = ascent_set(w, strict)
+        total += a == allowed if mode == "equal" else a <= allowed
     return total
 
 

@@ -18,7 +18,7 @@ from cayburge.burge import (
     two_sided_brute,
     word_to_matrix,
 )
-from cayburge.words import AscentSetSpec, stat_set
+from cayburge.words import AscentSetSpec, descent_mask
 
 # |Mat[n]| and |BMat[n]| anchors from shape-wise inclusion-exclusion
 # (see tools/make_fixtures.py for the independent derivation)
@@ -133,7 +133,7 @@ def test_descents_transfer_to_matrix_shape():
         m = word_to_matrix(bw)
         assert len(m) == max(bw.u)
         assert len(m[0]) == max(bw.v)
-        assert stat_set(bw.u, "weak-descent") <= stat_set(bw.v, "weak-descent")
+        assert descent_mask(bw.u) & ~descent_mask(bw.v) == 0
 
 
 def test_word_to_matrix_rejects_non_burge():

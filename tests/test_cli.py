@@ -423,10 +423,24 @@ def test_missing_required_params(capsys):
 
 
 def test_bad_ascents_spec(capsys):
-    code, _, err = run_cli(
-        capsys, "enumerate", "mat", "--n", "3", "--ascents", "7"
-    )
-    assert code == 2
+    for argv, message in [
+        (["mat", "--n", "3", "--ascents", "7"], "position 7 outside 1..2"),
+        (["signed", "--rows", "2", "--size", "3", "--ascents", ""], "delta has 1 parts but the structures have 2 rows"),
+    ]:
+        code, out, err = run_cli(capsys, "enumerate", *argv)
+        assert code == 2 and out == ""
+        assert err.strip() == "--ascents: " + message
+
+
+def test_signed_bases_are_cut_into_entries_once(capsys, monkeypatch):
+    """Each signed base is rendered once per sign vector; its cached
+    entries are cut from the word once, however many lines print it."""
+    calls = []
+    real = lomat._cells
+    monkeypatch.setattr(lomat, "_cells", lambda m: calls.append(m) or real(m))
+    code, out, _ = run_cli(capsys, "enumerate", "signed", "--rows", "2", "--size", "3")
+    assert code == 0 and len(out.splitlines()) == 160
+    assert len(calls) == 80
 
 
 def test_verify_pass_and_formats(capsys):

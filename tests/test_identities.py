@@ -1,13 +1,16 @@
 """Closed-form counts, polynomial formulas, certified sums, check suites."""
 
+import dataclasses
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from cayburge import burge, identities, lomat
 from cayburge.burge import two_sided_brute
+from cayburge.cli import main as cli_main
 from cayburge.identities import (
     GENMAT_METHODS,
     MAT_METHODS,
@@ -324,7 +327,7 @@ def test_polynomial_witnesses_are_json_safe(monkeypatch):
     monkeypatch.setattr(
         identities,
         "two_sided_formula",
-        lambda n, strict=False: two_sided(n, strict) + BiPoly({(0, 0): 1}),
+        lambda n, strict=False: BiPoly(Counter(two_sided(n, strict).terms) + Counter({(0, 0): 1})),
     )
     result = identities.check_two_sided(2)[0]
     assert result.status == "fail"
@@ -454,6 +457,38 @@ def test_involution_walk_is_load_bearing(monkeypatch, route, perturb, check):
     monkeypatch.setattr(lomat, route, perturb(getattr(lomat, route)))
     results = run_suite("involutions", 5, 2)
     assert len(results) == expected and not all(r.ok for r in results)
+
+
+def _dropping_an_atom_of_a_two_atom_block(real):
+    def to_atom_ballot(m, row_mode="color"):
+        ballot = real(m, row_mode)
+        columns = ballot.columns
+        for j, block in enumerate(columns):
+            if len(block) == 2:
+                kept = frozenset([min(block)])
+                return dataclasses.replace(ballot, columns=columns[:j] + (kept,) + columns[j + 1 :])
+        return ballot
+
+    return to_atom_ballot
+
+
+def test_atom_ballot_decoder_refusal_fails_the_round_trip(monkeypatch, capsys):
+    """An encoding the decoder refuses is a failed round trip, reported
+    with its message, not an exception out of verify."""
+    monkeypatch.setattr(
+        lomat, "to_atom_ballot", _dropping_an_atom_of_a_two_atom_block(lomat.to_atom_ballot)
+    )
+    assert cli_main(["verify", "bijections"]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if " atom-ballot-roundtrip " in line]
+    assert len(lines) == 1 and lines[0].startswith("FAIL ")
+    (result,) = identities.check_atom_ballot(2, 2)
+    assert result.status == "fail"
+    assert result.witness == {
+        "m": 1,
+        "n": 2,
+        "mode": "color",
+        "error": "an atom has two rows, or a row holds an atom of no block",
+    }
 
 
 def test_word_matrix_image_is_counted_against_the_closed_form(monkeypatch):

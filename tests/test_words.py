@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from cayburge.kernel import IntPoly
 from cayburge.words import (
-    STAT_KINDS,
     AscentSetSpec,
     alpha_count,
     ascent_set,
@@ -18,11 +17,11 @@ from cayburge.words import (
     beta_perm_determinant,
     caylerian_brute,
     cayley_to_ballot,
+    descent_mask,
     enumerate_ballots,
     enumerate_cayley,
     enumerate_linear_orders,
     is_cayley_word,
-    stat_set,
 )
 
 FUBINI = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835]
@@ -141,17 +140,17 @@ def test_enumerate_ballots():
         assert sum(1 for _ in enumerate_ballots(n)) == FUBINI[n]
 
 
+def _descent_set(w, strict=False):
+    mask = descent_mask(w, strict)
+    return frozenset(i for i in range(1, len(w)) if mask >> (i - 1) & 1)
+
+
 def test_stat_sets_worked_example():
     w = (3, 1, 1, 4, 1, 2, 3)
-    assert stat_set(w, "weak-descent") == frozenset({1, 2, 4})
-    assert stat_set(w, "strict-descent") == frozenset({1, 4})
-    assert stat_set(w, "weak-ascent") == frozenset({2, 3, 5, 6})
-    assert stat_set(w, "strict-ascent") == frozenset({3, 5, 6})
-
-
-def test_stat_set_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        stat_set((1,), "descent")
+    assert _descent_set(w) == frozenset({1, 2, 4})
+    assert _descent_set(w, strict=True) == frozenset({1, 4})
+    assert ascent_set(w) == frozenset({2, 3, 5, 6})
+    assert ascent_set(w, strict=True) == frozenset({3, 5, 6})
 
 
 def test_descent_ascent_wrappers():
@@ -166,10 +165,10 @@ def test_stat_complementarity_exhaustive():
     for n in range(6):
         full = frozenset(range(1, n))
         for w in enumerate_cayley(n):
-            wd = stat_set(w, "weak-descent")
-            sd = stat_set(w, "strict-descent")
-            wa = stat_set(w, "weak-ascent")
-            sa = stat_set(w, "strict-ascent")
+            wd = _descent_set(w)
+            sd = _descent_set(w, strict=True)
+            wa = ascent_set(w)
+            sa = ascent_set(w, strict=True)
             assert wd | wa == full
             assert sd == full - wa
             assert sa == full - wd
@@ -181,8 +180,8 @@ def test_stat_complementarity_exhaustive():
 @given(st.integers(2, 6).flatmap(random_cayley))
 def test_reverse_swaps_strict_descents_and_ascents(w):
     n = len(w)
-    rev = {n - i for i in stat_set(w, "strict-ascent")}
-    assert stat_set(w[::-1], "strict-descent") == rev
+    rev = {n - i for i in ascent_set(w, strict=True)}
+    assert _descent_set(w[::-1], strict=True) == rev
 
 
 def test_caylerian_brute_small():
@@ -282,11 +281,3 @@ def test_determinant_sums_to_multinomial():
                 )
                 assert total == alpha_count(AscentSetSpec(n, s))
 
-
-def test_stat_kinds_listing():
-    assert STAT_KINDS == (
-        "weak-descent",
-        "strict-descent",
-        "weak-ascent",
-        "strict-ascent",
-    )

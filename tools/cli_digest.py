@@ -17,10 +17,11 @@ formula cap, the ten enumerate commands of the benchmark's
 enumerate-stream workload, every enumerable object in text, json and
 csv at sizes 0-2 (each --binary variant too), argparse's own failures
 (an unknown subcommand, a bad choice, a bad integer) and --help, one
-refused flag, and the same parse errors again after valid commands, so
-that a parser reused across calls shows.  Help and usage text wrap at
-COLUMNS, which is fixed at 80 here; argparse's wording can differ
-between Python versions, so compare digests made by the same
+refused flag, three refused --ascents values (unparsable, out of range,
+and a rows mismatch), and the same parse errors again after valid
+commands, so that a parser reused across calls shows.  Help and usage
+text wrap at COLUMNS, which is fixed at 80 here; argparse's wording can
+differ between Python versions, so compare digests made by the same
 interpreter.  It takes under a minute on one core.  Standard library
 only.
 """
@@ -91,6 +92,11 @@ def commands() -> list[list[str]]:
         for flags in sizes:
             for fmt in ("text", "json", "csv"):
                 out.append(["enumerate", obj, *flags, "--format", fmt])
+    out += [
+        ["enumerate", "mat", "--n", "3", "--ascents", "1,x"],
+        ["enumerate", "mat", "--n", "3", "--ascents", "7"],
+        ["enumerate", "signed", "--rows", "2", "--size", "3", "--ascents", ""],
+    ]
     failures = [
         ["frobnicate"],
         ["enumerate", "permutation", "--n", "2"],
