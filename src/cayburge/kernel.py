@@ -155,16 +155,22 @@ def compositions(n: int) -> Iterator[tuple[int, ...]]:
 
     The descending-first-part order makes the weakly increasing words
     1^a1 2^a2 ... read off from successive compositions come out in
-    lexicographic order.
+    lexicographic order.  Each step pops the t trailing 1s, lowers the
+    last part left by one and appends t + 1.
     """
     if n < 0:
         raise ValueError("compositions needs n >= 0")
-    if n == 0:
-        yield ()
-        return
-    for first in range(n, 0, -1):
-        for rest in compositions(n - first):
-            yield (first,) + rest
+    parts = [n] if n else []
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        parts[-1] -= 1
+        parts.append(ones + 1)
 
 
 def weak_compositions(

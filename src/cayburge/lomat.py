@@ -11,9 +11,10 @@ column.  Any structure factors uniquely as act(w, A) with A normalized
 and w = prod(M).  A ``LinOrderMatrix`` stores just that pair: the word
 prod(M) and the grid of entry lengths, which fixes A.  What the grid
 alone fixes (where each entry sits in the word, where tau swaps, whether
-a row is empty) is derived once per base structure and shared by the
-structures that act, tau and factor_action build on the same grid; the
-nested entries are built only when something renders them.
+a row is empty) is its layout, derived once per base structure; act, tau
+and factor_action pass their argument's layout in to the structure they
+build on the same grid, which then checks only its word length against
+it.  The nested entries are built only when something renders them.
 
 An atom is a word whose only left-to-right minimum is its first letter.
 Splitting every entry at its left-to-right minima and remembering, for
@@ -33,8 +34,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, chain
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .kernel import compositions, weak_compositions
@@ -65,54 +66,81 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class LinOrderMatrix:
     """Matrix of words stored as ``word`` = prod(M) and ``grid``, where
     ``grid[i][j]`` is the length of the entry in row i, column j.
 
     ``LinOrderMatrix(entries)``, with no grid, builds the structure from
     its nested entries instead; ``entries[i][j]`` is row i, column j.
+    ``layout``, when given, is the layout of ``grid``: the grid was then
+    checked already, and only the word length is checked against it.
+
+    Immutable: ``word`` and ``grid`` are read-only, and equality and
+    hashing read only them.  The slots hold them, the layout (derived
+    on first use when not given) and the entries (cut on first use).
     """
 
-    word: Word
-    grid: tuple[tuple[int, ...], ...] | None = None
+    __slots__ = ("_word", "_grid", "_layout", "_entries")
+
+    word = property(attrgetter("_word"))
+    grid = property(attrgetter("_grid"))
+
+    def __init__(
+        self,
+        word: Word,
+        grid: tuple[tuple[int, ...], ...] | None = None,
+        layout: _Layout | None = None,
+    ):
+        self._word = word
+        self._grid = grid
+        self._layout = layout
+        self._entries = None
+        self.__post_init__()
 
     def __post_init__(self):
-        entries = None
-        if self.grid is None:  # the one argument was the nested entries
-            entries = self.word
-            object.__setattr__(self, "grid", tuple([tuple(map(len, row)) for row in entries]))
-        if len(set(map(len, self.grid))) > 1:
-            raise ValueError("ragged matrix")
-        if entries is not None:
-            letters = chain.from_iterable(chain.from_iterable(zip(*entries)))  # prod order
-            object.__setattr__(self, "word", tuple(letters))
-            self.__dict__["entries"] = entries
-        elif sum(map(sum, self.grid)) != len(self.word):
-            raise ValueError(f"entry lengths do not add up to the {len(self.word)} letters")
+        layout = self._layout
+        if layout is None:  # a grid with a layout was checked when the layout was derived
+            if self._grid is None:  # the one argument was the nested entries
+                entries = self._entries = self._word
+                self._grid = tuple([tuple(map(len, row)) for row in entries])
+                self._word = tuple(chain.from_iterable(chain.from_iterable(zip(*entries))))
+            if len(set(map(len, self._grid))) > 1:
+                raise ValueError("ragged matrix")
+        size = sum(map(sum, self._grid)) if layout is None else layout.size
+        if size != len(self._word):
+            raise ValueError(f"entry lengths do not add up to the {len(self._word)} letters")
 
-    @cached_property
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._word == other._word and self._grid == other._grid
+
+    def __hash__(self):
+        return hash((self._word, self._grid))
+
+    def __repr__(self):
+        return f"LinOrderMatrix(word={self._word!r}, grid={self._grid!r})"
+
+    @property
     def entries(self) -> tuple[tuple[Word, ...], ...]:
-        cells, rows = _cells(self), self.rows
-        return tuple(tuple(cells[i::rows]) for i in range(rows))
+        if self._entries is None:
+            cells, rows = _cells(self), self.rows
+            self._entries = tuple(tuple(cells[i::rows]) for i in range(rows))
+        return self._entries
 
     @property
     def rows(self) -> int:
-        return len(self.grid)
+        return len(self._grid)
 
     @property
     def cols(self) -> int:
-        return len(self.grid[0]) if self.grid else 0
-
-    @cached_property
-    def _layout(self) -> _Layout:
-        return _Layout(self.grid)
+        return len(self._grid[0]) if self._grid else 0
 
     def column_empty(self, j: int) -> bool:
-        return all(not row[j] for row in self.grid)
+        return all(not row[j] for row in self._grid)
 
     def has_empty_row(self) -> bool:
-        return not self._layout.full_rows
+        return not _layout(self).full_rows
 
     def is_normalized(self) -> bool:
         return self.word == tuple(range(1, len(self.word) + 1))
@@ -130,47 +158,51 @@ class LinOrderMatrix:
 
 class _Layout:
     """What a grid fixes for every word on it, derived once per grid and
-    shared by the structures that act, tau and factor_action build on it.
+    passed in to the structures that act, tau and factor_action build on
+    it.
 
-    ``cells`` lists the nonempty entries in prod order as (start, end,
-    column, row) offsets into the word; ``starts`` holds their starts;
-    ``swap`` is the offset tau swaps at (None when every entry has
-    length <= 1); ``full_rows`` says that no row is empty.
+    ``size`` is the number of letters; ``cells`` lists the nonempty
+    entries in prod order as (start, end, column, row) offsets into the
+    word; ``first[p]`` says that offset p starts an entry; ``swap`` is
+    the offset tau swaps at (None when every entry has length <= 1);
+    ``full_rows`` says that no row is empty.
     """
 
-    __slots__ = ("cells", "starts", "swap", "full_rows")
+    __slots__ = ("size", "cells", "first", "swap", "full_rows")
 
     def __init__(self, grid: tuple[tuple[int, ...], ...]):
-        height, pos, cells, swap = len(grid), 0, [], None
+        height, pos, cells, first, swap = len(grid), 0, [], [], None
         for k, length in enumerate(chain.from_iterable(zip(*grid))):
             if length:
                 cells.append((pos, pos + length, *divmod(k, height)))
+                first += [True] + [False] * (length - 1)
                 if swap is None and length >= 2:
                     swap = pos
                 pos += length
+        self.size = pos
         self.cells = cells
-        self.starts = frozenset(cell[0] for cell in cells)
+        self.first = tuple(first)
         self.swap = swap
         self.full_rows = all(map(any, grid))
 
 
+def _layout(m: LinOrderMatrix) -> _Layout:
+    """m's layout, derived from its grid on first use."""
+    if m._layout is None:
+        m._layout = _Layout(m._grid)
+    return m._layout
+
+
 def _check_lengths(grid: tuple[tuple[int, ...], ...]) -> None:
-    if any(length < 0 for row in grid for length in row):
+    if min(chain.from_iterable(grid), default=0) < 0:
         raise ValueError("negative entry length")
-
-
-def _on_grid_of(m: LinOrderMatrix, word: Word) -> LinOrderMatrix:
-    """The structure with m's grid and the given word; it shares m's layout."""
-    out = LinOrderMatrix(word, m.grid)
-    out.__dict__["_layout"] = m._layout
-    return out
 
 
 def _cells(m: LinOrderMatrix) -> list[Word]:
     """The entries in prod order, cut from m.word; entry (i, j) is at
     index j * m.rows + i."""
-    lengths = list(chain.from_iterable(zip(*m.grid)))
-    return [m.word[end - k : end] for k, end in zip(lengths, accumulate(lengths))]
+    word, lengths = m._word, list(chain.from_iterable(zip(*m._grid)))
+    return [word[end - k : end] for k, end in zip(lengths, accumulate(lengths))]
 
 
 def prod(m: LinOrderMatrix) -> Word:
@@ -180,14 +212,15 @@ def prod(m: LinOrderMatrix) -> Word:
 
 def act(w: Word, m: LinOrderMatrix) -> LinOrderMatrix:
     """Replace every letter c by w(c).  Needs len(w) == len(prod(m))."""
-    if len(w) != len(m.word):
-        raise ValueError(f"word of length {len(w)} cannot act on size {len(m.word)}")
-    return _on_grid_of(m, tuple([w[c - 1] for c in m.word]))
+    if len(w) != len(m._word):
+        raise ValueError(f"word of length {len(w)} cannot act on size {len(m._word)}")
+    return LinOrderMatrix(tuple([w[c - 1] for c in m._word]), m._grid, _layout(m))
 
 
 def factor_action(m: LinOrderMatrix) -> tuple[Word, LinOrderMatrix]:
     """Unique (w, A) with A normalized and act(w, A) == m; w is prod(m)."""
-    return m.word, _on_grid_of(m, tuple(range(1, len(m.word) + 1)))
+    word = m._word
+    return word, LinOrderMatrix(tuple(range(1, len(word) + 1)), m._grid, _layout(m))
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +247,9 @@ def atoms(m: LinOrderMatrix) -> list[Word]:
 
 def atom_count(m: LinOrderMatrix) -> int:
     """Number of left-to-right minima, counted within each entry."""
-    starts = m._layout.starts
     total = lo = 0
-    for p, c in enumerate(m.word):
-        if p in starts or c < lo:  # the first letter of an entry, or a new minimum
+    for first, c in zip(_layout(m).first, m._word):
+        if first or c < lo:  # the first letter of an entry, or a new minimum
             total += 1
             lo = c
     return total
@@ -225,7 +257,7 @@ def atom_count(m: LinOrderMatrix) -> int:
 
 def xi_atoms(m: LinOrderMatrix) -> int:
     """Sign (-1)^(size - number of atoms)."""
-    return -1 if (len(m.word) - atom_count(m)) % 2 else 1
+    return -1 if (len(m._word) - atom_count(m)) % 2 else 1
 
 
 def tau(m: LinOrderMatrix) -> LinOrderMatrix:
@@ -234,11 +266,12 @@ def tau(m: LinOrderMatrix) -> LinOrderMatrix:
     Entries are scanned in prod order; matrices whose entries all have
     length <= 1 are fixed.  Off the fixed set this flips xi_atoms.
     """
-    pos = m._layout.swap
+    layout = _layout(m)
+    pos = layout.swap
     if pos is None:
         return m
-    w = m.word
-    return _on_grid_of(m, w[:pos] + (w[pos + 1], w[pos]) + w[pos + 2 :])
+    w = m._word
+    return LinOrderMatrix(w[:pos] + (w[pos + 1], w[pos]) + w[pos + 2 :], m._grid, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +293,7 @@ def from_length_grid(grid: Sequence[Sequence[int]]) -> LinOrderMatrix:
 # atom ballots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomBallot:
     """Ballot of atoms (blocks = former columns) plus a row assignment.
 
@@ -293,17 +326,26 @@ def to_atom_ballot(m: LinOrderMatrix, row_mode: str = "color") -> AtomBallot:
     """
     if row_mode not in ("color", "ballot"):
         raise ValueError(f"unknown row_mode {row_mode!r}")
-    word = m.word
+    word = m._word
     columns: list[list[Word]] = [[] for _ in range(m.cols)]
-    rows: list[list[Word]] = [[] for _ in range(m.rows)]
-    for start, end, j, i in m._layout.cells:
-        cut = split_atoms(word[start:end])
-        columns[j] += cut
-        rows[i] += cut
+    pairs: list[tuple[Word, int]] = []  # (atom, 1-based row) in prod order
+    for start, end, j, i in _layout(m).cells:
+        column, lo, i = columns[j], word[start], i + 1
+        for p in range(start + 1, end):  # cut before each new left-to-right minimum
+            if word[p] < lo:
+                lo, atom, start = word[p], word[start:p], p
+                column.append(atom)
+                pairs.append((atom, i))
+        atom = word[start:end]
+        column.append(atom)
+        pairs.append((atom, i))
     blocks = tuple(map(frozenset, columns))
     if row_mode == "color":
-        pairs = sorted((a, i) for i, row in enumerate(rows, start=1) for a in row)
+        pairs.sort()
         return AtomBallot(blocks, colors=tuple(pairs))
+    rows: list[list[Word]] = [[] for _ in range(m.rows)]
+    for atom, i in pairs:
+        rows[i - 1].append(atom)
     for i, row in enumerate(rows, start=1):
         if not row:
             raise ValueError(f"row {i} is empty; ballot row mode needs nonempty rows")
@@ -323,31 +365,30 @@ def from_atom_ballot(ballot: AtomBallot, m: int | None = None) -> LinOrderMatrix
         if m is None:
             raise ValueError("row count m is required with color assignments")
         row_of = dict(ballot.colors)
-        if any(not 1 <= c <= m for c in row_of.values()):
+        colors = row_of.values()
+        if colors and not 1 <= min(colors) <= max(colors) <= m:
             raise ValueError(f"a color exceeds the row count {m}")
         given = len(ballot.colors)
     else:
         m = len(ballot.rows)
         row_of = {a: i for i, row in enumerate(ballot.rows, start=1) for a in row}
         given = sum(map(len, ballot.rows))
-    columns = [[[] for _ in range(m)] for _ in ballot.columns]  # [j][i], prod order
-    for column, block in zip(columns, ballot.columns):
+    keyed: list[tuple[int, Word]] = []  # (-cell, atom); cell (i, j) is j*m + i in prod order
+    for j, block in enumerate(ballot.columns):
+        offset = 1 - j * m  # colors count rows from 1
         for a in block:
-            if a not in row_of:
-                raise ValueError(f"atom {a} has no row")
-            column[row_of[a] - 1].append(a)
-    if not given == len(row_of) == sum(map(len, ballot.columns)):
+            try:
+                keyed.append((offset - row_of[a], a))
+            except KeyError:
+                raise ValueError(f"atom {a} has no row") from None
+    if not given == len(row_of) == len(keyed):
         raise ValueError("an atom has two rows, or a row holds an atom of no block")
-    word: list[int] = []
-    lengths = []
-    for cell in chain.from_iterable(columns):
-        start = len(word)
-        if cell:
-            cell.sort(reverse=True)
-            for a in cell:
-                word += a
-        lengths.append(len(word) - start)
-    return LinOrderMatrix(tuple(word), tuple(tuple(lengths[i::m]) for i in range(m)))
+    keyed.sort(reverse=True)  # cells in prod order, each by decreasing first letter
+    lengths = [0] * (m * len(ballot.columns))
+    for cell, a in keyed:
+        lengths[-cell] += len(a)
+    word = tuple(chain.from_iterable([a for _, a in keyed]))
+    return LinOrderMatrix(word, tuple([tuple(lengths[i::m]) for i in range(m)]))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +461,7 @@ def enumerate_mat_normalized(n: int, binary: bool = False) -> Iterator[LinOrderM
 # signed structures
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedLOMatrix:
     """Normalized matrix, possibly with empty columns, plus column signs.
 

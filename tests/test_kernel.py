@@ -133,6 +133,23 @@ def test_compositions_exact_small():
         assert sum(1 for _ in compositions(n)) == 2 ** (n - 1)
 
 
+def _recursive_compositions(n):
+    """Model: each first part from n down to 1, then the compositions of the rest."""
+    if n == 0:
+        yield ()
+    for first in range(n, 0, -1):
+        for rest in _recursive_compositions(n - first):
+            yield (first, *rest)
+
+
+def test_compositions_match_the_recursive_model():
+    for n in range(13):
+        assert list(compositions(n)) == list(_recursive_compositions(n))
+    walk = compositions(-1)  # a generator: the error comes on the first next()
+    with pytest.raises(ValueError, match="^compositions needs n >= 0$"):
+        next(walk)
+
+
 def test_compositions_fixed_parts():
     assert [c for c in compositions(3) if len(c) == 2] == [(2, 1), (1, 2)]
     for n in range(1, 8):

@@ -113,14 +113,14 @@ def test_atom_ballot_color_mode():
 
 
 def test_atom_ballot_errors():
-    with pytest.raises(ValueError):
-        to_atom_ballot(M, row_mode="ballot")  # row 3 is empty
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^row 3 is empty; ballot row mode needs nonempty rows$"):
+        to_atom_ballot(M, row_mode="ballot")
+    with pytest.raises(ValueError, match="^unknown row_mode 'rows'$"):
         to_atom_ballot(M, row_mode="rows")
-    with pytest.raises(ValueError):
-        from_atom_ballot(to_atom_ballot(M))  # m is required with colors
-    with pytest.raises(ValueError):
-        from_atom_ballot(to_atom_ballot(M), 3)  # color 4 exceeds m
+    with pytest.raises(ValueError, match="^row count m is required with color assignments$"):
+        from_atom_ballot(to_atom_ballot(M))
+    with pytest.raises(ValueError, match="^a color exceeds the row count 3$"):
+        from_atom_ballot(to_atom_ballot(M), 3)  # color 4
     with pytest.raises(ValueError):
         AtomBallot((frozenset({(1,)}),))
     with pytest.raises(ValueError):
@@ -131,15 +131,19 @@ def test_atom_ballot_errors():
         )
 
 
+NO_ROW = r"^atom \(2,\) has no row$"
+TWO_ROWS = "^an atom has two rows, or a row holds an atom of no block$"
+
+
 @pytest.mark.parametrize(
-    "ballot, m",
+    "ballot, m, message",
     [
         # colors mode, atom (2,) has no color
-        (AtomBallot((frozenset({(1,)}), frozenset({(2,)})), colors=(((1,), 1),)), 1),
+        (AtomBallot((frozenset({(1,)}), frozenset({(2,)})), colors=(((1,), 1),)), 1, NO_ROW),
         # colors mode, atom (1,) has two colors
-        (AtomBallot((frozenset({(1,)}),), colors=(((1,), 1), ((1,), 2))), 2),
+        (AtomBallot((frozenset({(1,)}),), colors=(((1,), 1), ((1,), 2))), 2, TWO_ROWS),
         # rows mode, atom (2,) lies in no row
-        (AtomBallot((frozenset({(1,), (2,)}),), rows=(frozenset({(1,)}),)), None),
+        (AtomBallot((frozenset({(1,), (2,)}),), rows=(frozenset({(1,)}),)), None, NO_ROW),
         # rows mode, atom (2,) lies in two rows
         (
             AtomBallot(
@@ -147,14 +151,48 @@ def test_atom_ballot_errors():
                 rows=(frozenset({(2,)}), frozenset({(1,), (2,)})),
             ),
             None,
+            TWO_ROWS,
         ),
         # rows mode, atom (2,) lies in a row but in no block
-        (AtomBallot((frozenset({(1,)}),), rows=(frozenset({(1,)}), frozenset({(2,)}))), None),
+        (
+            AtomBallot((frozenset({(1,)}),), rows=(frozenset({(1,)}), frozenset({(2,)}))),
+            None,
+            TWO_ROWS,
+        ),
     ],
+    ids=["ballot0-1", "ballot1-2", "ballot2-None", "ballot3-None", "ballot4-None"],
 )
-def test_from_atom_ballot_rejects_malformed_ballots(ballot, m):
-    with pytest.raises(ValueError):
+def test_from_atom_ballot_rejects_malformed_ballots(ballot, m, message):
+    with pytest.raises(ValueError, match=message):
         from_atom_ballot(ballot, m)
+
+
+def _model_atom_ballot(mat, row_mode):
+    """The atom ballot read off the nested entries with split_atoms."""
+    cut = [
+        (a, i, j)
+        for i, row in enumerate(mat.entries, start=1)
+        for j, entry in enumerate(row)
+        for a in split_atoms(entry)
+    ]
+    columns = tuple(frozenset(a for a, _, col in cut if col == j) for j in range(mat.cols))
+    if row_mode == "color":
+        return AtomBallot(columns, colors=tuple(sorted((a, i) for a, i, _ in cut)))
+    rows = tuple(frozenset(a for a, row, _ in cut if row == i) for i in range(1, mat.rows + 1))
+    return AtomBallot(columns, rows=rows)
+
+
+def test_atom_ballot_matches_a_model_cut_from_the_entries():
+    for m_rows in range(3):
+        for n in range(5):
+            for mat in enumerate_lomat(m_rows, n):
+                assert to_atom_ballot(mat) == _model_atom_ballot(mat, "color")
+                empty = [i for i, row in enumerate(mat.entries, start=1) if not any(row)]
+                if empty:
+                    with pytest.raises(ValueError, match=f"^row {empty[0]} is empty; "):
+                        to_atom_ballot(mat, row_mode="ballot")
+                else:
+                    assert to_atom_ballot(mat, row_mode="ballot") == _model_atom_ballot(mat, "ballot")
 
 
 def test_atom_ballot_roundtrip_exhaustive():
@@ -202,6 +240,64 @@ def test_length_grid_roundtrip():
     for n in range(5):
         for mat in enumerate_genmat(2, n):
             assert from_length_grid(mat.grid) == mat
+
+
+def test_structures_are_immutable():
+    mat = act(W, A)
+    for name, value in (("word", W), ("grid", A.grid), ("entries", M.entries), ("size", 9)):
+        with pytest.raises(AttributeError):
+            setattr(mat, name, value)
+    assert mat.word == W and mat.grid == A.grid
+
+
+def test_equality_and_hash_read_only_word_and_grid():
+    base = from_length_grid(A.grid)
+    image, nested = act(W, base), LinOrderMatrix(M.entries)
+    assert image._layout is not None and nested._layout is None
+    assert image == nested and hash(image) == hash(nested)
+    assert LinOrderMatrix(image.entries) == image
+    assert hash(LinOrderMatrix(image.entries)) == hash(image)
+    assert image != act(W_INV, base) and image != LinOrderMatrix(W, A.grid[::-1])
+    assert image != (W, A.grid)
+    assert repr(image) == f"LinOrderMatrix(word={W}, grid={A.grid})"
+
+
+def test_images_share_their_parents_layout():
+    base = from_length_grid(A.grid)
+    image = act(W, base)
+    assert image._layout is base._layout is not None
+    assert tau(image)._layout is base._layout
+    assert factor_action(image)[1]._layout is base._layout
+
+
+def test_post_init_runs_once_per_structure(monkeypatch):
+    bases = list(enumerate_genmat(2, 3))
+    built = []
+    original = LinOrderMatrix.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(LinOrderMatrix, "__post_init__", counting)
+    images = list(enumerate_lomat(2, 3))
+    assert len(built) == len(bases) + len(images)
+    assert len(set(map(id, built))) == len(built)
+    assert {id(x) for x in images} <= {id(x) for x in built}
+
+
+def test_constructor_checks_the_grid():
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        LinOrderMatrix((1, 2, 3), ((1, 1), (1,)))
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        LinOrderMatrix((((1,), (2,)), ((3,),)))
+    with pytest.raises(ValueError, match="^entry lengths do not add up to the 2 letters$"):
+        LinOrderMatrix((1, 2), ((1, 2),))
+    base = from_length_grid(((1, 1),))
+    with pytest.raises(ValueError, match="^word of length 3 cannot act on size 2$"):
+        act((1, 2, 3), base)
+    with pytest.raises(ValueError, match="^entry lengths do not add up to the 3 letters$"):
+        LinOrderMatrix((1, 2, 3), base.grid, act((2, 1), base)._layout)
 
 
 def test_validate_errors():
