@@ -407,19 +407,20 @@ def _cmd_verify(args) -> int:
 # oeis
 
 
-def _triangle_value(index: int) -> int:
-    n = 1
-    while index > n:
-        index -= n
-        n += 1
-    return identities.caylerian_formula(n).coefficient(index - 1)
+def _triangle_rows(bound: int) -> list[int]:
+    """A366173 read by rows: the coefficients of C_1(t), ..., C_bound(t)."""
+    rows = (identities.caylerian_formula(n) for n in range(1, bound + 1))
+    return [row.coefficient(k) for n, row in enumerate(rows, start=1) for k in range(n)]
 
 
+# each sequence: its terms through a bound, the index of its first term, and its cap
 OEIS_VALUES = {
-    "A000670": (lambda i: fubini(i), FORMULA_BOUND),
-    "A120733": (lambda i: identities.count_mat(i), FORMULA_BOUND),
-    "A101370": (lambda i: identities.count_mat(i, binary=True), FORMULA_BOUND),
-    "A366173": (_triangle_value, 7),
+    "A000670": (lambda bound: [fubini(i) for i in range(bound + 1)], 0, FORMULA_BOUND),
+    "A120733": (lambda bound: [identities.count_mat(i) for i in range(bound + 1)], 0, FORMULA_BOUND),
+    "A101370": (
+        lambda bound: [identities.count_mat(i, binary=True) for i in range(bound + 1)], 0, FORMULA_BOUND
+    ),
+    "A366173": (_triangle_rows, 1, 7),
 }
 
 
@@ -466,31 +467,29 @@ def _bfile_text(args) -> str:
 
 
 def _cmd_oeis(args) -> int:
-    value_of, default_bound = OEIS_VALUES[args.sequence]
-    is_triangle = args.sequence == "A366173"
+    terms_through, first, default_bound = OEIS_VALUES[args.sequence]
     bound = args.max_n if args.max_n is not None else default_bound
     if bound < 1:
         return _fail(f"--max-n must be at least 1, got {bound}", 2)
     if bound > default_bound and not args.unsafe_bounds:
         return _fail(f"--max-n {bound} exceeds the bound {default_bound}; pass --unsafe-bounds to override", 2)
-    max_index = bound * (bound + 1) // 2 if is_triangle else bound
     try:
-        text = _bfile_text(args)
+        entries = parse_bfile(_bfile_text(args))
     except FileNotFoundError as exc:
         return _fail(f"b-file not found: {exc}", 2)
     except OSError as exc:
         return _fail(f"could not fetch b-file: {exc}", 2)
-    try:
-        entries = parse_bfile(text)
-    except ValueError as exc:
+    except ValueError as exc:  # a bad line, or a file that is not UTF-8
         return _fail(f"malformed b-file: {exc}", 2)
+    terms = terms_through(bound)
+    max_index = first + len(terms) - 1
     checked = 0
     for idx, expected in entries:
         if idx > max_index:
             break
-        if is_triangle and idx < 1:
-            return _fail(f"triangle index {idx} out of range", 2)
-        got = value_of(idx)
+        if idx < first:
+            return _fail(f"{args.sequence} index {idx} is below its first index {first}", 2)
+        got = terms[idx - first]
         if got != expected:
             print(
                 f"{args.sequence} mismatch at index {idx}: engine {got}, b-file {expected}"

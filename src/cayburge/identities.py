@@ -751,7 +751,8 @@ def check_two_sided(max_n: int) -> list[CheckResult]:
 def check_beta(max_n: int) -> list[CheckResult]:
     """Ascent-set counting: formula vs brute force vs matrix enumeration."""
     # One enumeration per size serves every S: the row-sum vectors of the
-    # (binary) Burge matrices and the ascent sets of the permutations.
+    # (binary) Burge matrices and the ascent sets of the permutations and
+    # of the Cayley words.
     sizes = range(1, max_n + 1)
     mat_rows = {
         (n, binary): Counter(burge.row_sums(a) for a in burge.enumerate_mat(n, binary=binary))
@@ -761,6 +762,17 @@ def check_beta(max_n: int) -> list[CheckResult]:
     perm_ascents = {
         n: Counter(map(words.ascent_set, words.enumerate_linear_orders(n))) for n in sizes
     }
+    word_ascents = {
+        (n, strict): Counter(words.ascent_set(w, strict) for w in words.enumerate_cayley(n))
+        for n in sizes
+        for strict in (False, True)
+    }
+
+    def inside(tally: Counter, S: Iterable[int]) -> int:
+        """How many of the tallied ascent sets lie inside S."""
+        allowed = frozenset(S)
+        return sum(c for a, c in tally.items() if a <= allowed)
+
     specs = list(_ascent_points(max_n))
     specs_strict = [{**p, "strict": strict} for p in specs for strict in (False, True)]
     spec = words.AscentSetSpec
@@ -769,7 +781,7 @@ def check_beta(max_n: int) -> list[CheckResult]:
         specs_strict,
         lambda n, S, strict: {
             "formula": beta_formula(spec(n, S), strict=strict),
-            "brute": words.beta_brute(spec(n, S), strict=strict),
+            "brute": inside(word_ascents[n, strict], S),
         },
     )
     # strict ascents count the general matrices, weak ones the binary
@@ -780,25 +792,27 @@ def check_beta(max_n: int) -> list[CheckResult]:
             "matrices": mat_rows[n, not strict][spec(n, S).delta],
         },
     )
-
-    weak_classes: Counter = Counter()
-
-    def equal_routes(n: int, S: tuple[int, ...], strict: bool) -> dict:
-        brute = words.beta_brute(spec(n, S), strict=strict, mode="equal")
-        weak_classes[n] += 0 if strict else brute
-        return {"brute": brute, "by-subsets": beta_equal_by_subsets(spec(n, S), strict=strict)}
-
-    equal_failures = _disagreements(specs_strict, equal_routes)
+    equal_failures = _disagreements(
+        specs_strict,
+        lambda n, S, strict: {
+            "brute": word_ascents[n, strict][frozenset(S)],
+            "by-subsets": beta_equal_by_subsets(spec(n, S), strict=strict),
+        },
+    )
     # every Cayley permutation has exactly one weak ascent set
     equal_failures += _disagreements(
-        _grid(n=sizes), lambda n: {"weak-ascent-classes": weak_classes[n], "fubini": fubini(n)}
+        _grid(n=sizes),
+        lambda n: {
+            "weak-ascent-classes": inside(word_ascents[n, False], range(1, n)),
+            "fubini": fubini(n),
+        },
     )
 
     def alpha_routes(n: int, S: tuple[int, ...]) -> dict:
         subsets = (sub for size in range(len(S) + 1) for sub in itertools.combinations(S, size))
         return {
             "multinomial": words.alpha_count(spec(n, S)),
-            "enumerated": sum(c for a, c in perm_ascents[n].items() if a <= frozenset(S)),
+            "enumerated": inside(perm_ascents[n], S),
             "determinants": sum(words.beta_perm_determinant(spec(n, sub)) for sub in subsets),
         }
 

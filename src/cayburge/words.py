@@ -38,7 +38,6 @@ __all__ = [
     "caylerian_brute",
     "AscentSetSpec",
     "alpha_count",
-    "beta_brute",
     "beta_perm_determinant",
 ]
 
@@ -219,22 +218,6 @@ def alpha_count(spec: AscentSetSpec) -> int:
     for gap in spec.delta:
         num //= math.factorial(gap)
     return num
-
-
-def beta_brute(spec: AscentSetSpec, strict: bool = False, mode: str = "subset") -> int:
-    """Count Cayley permutations by ascent-set condition, by enumeration.
-
-    mode="subset" counts words whose (weak or strict) ascent set is
-    contained in spec.positions; mode="equal" demands equality.
-    """
-    if mode not in ("subset", "equal"):
-        raise ValueError(f"unknown mode {mode!r}")
-    allowed = frozenset(spec.positions)
-    total = 0
-    for w in enumerate_cayley(spec.n):
-        a = ascent_set(w, strict)
-        total += a == allowed if mode == "equal" else a <= allowed
-    return total
 
 
 def beta_perm_determinant(spec: AscentSetSpec) -> int:

@@ -546,6 +546,23 @@ def test_oeis_malformed_bfile(tmp_path, capsys):
     assert code == 2 and "malformed" in err
 
 
+@pytest.mark.parametrize("sequence, first", [("A000670", 0), ("A120733", 0), ("A101370", 0), ("A366173", 1)])
+def test_oeis_index_below_the_first_rejected(tmp_path, capsys, sequence, first):
+    bfile = tmp_path / "b.txt"
+    bfile.write_text(f"{first - 1} 1\n{first} 1\n")
+    code, out, err = run_cli(capsys, "oeis", sequence, "--b-file", str(bfile))
+    assert code == 2 and out == ""
+    assert f"{sequence} index {first - 1} is below its first index {first}" in err
+
+
+def test_oeis_bfile_not_utf8_is_malformed(tmp_path, capsys):
+    bad = tmp_path / "b.txt"
+    bad.write_bytes(b"\xff\xfe0 1\n")
+    code, out, err = run_cli(capsys, "oeis", "A000670", "--b-file", str(bad))
+    assert code == 2 and out == ""
+    assert "malformed b-file" in err
+
+
 def test_oeis_bound(capsys):
     code, _, err = run_cli(capsys, "oeis", "A000670", "--max-n", "13")
     assert code == 2

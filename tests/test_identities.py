@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cayburge import burge, identities, lomat
+from cayburge import burge, identities, lomat, words
 from cayburge.burge import two_sided_brute
 from cayburge.cli import main as cli_main
 from cayburge.identities import (
@@ -32,7 +32,7 @@ from cayburge.identities import (
     two_sided_formula,
 )
 from cayburge.kernel import BiPoly, IntPoly
-from cayburge.words import AscentSetSpec, beta_brute, caylerian_brute
+from cayburge.words import AscentSetSpec, ascent_set, caylerian_brute, enumerate_cayley
 
 MAT = [1, 1, 5, 33, 281, 2961, 37277]
 BMAT = [1, 1, 4, 24, 196, 2016, 24976]
@@ -133,16 +133,14 @@ def test_beta_formula_examples_and_brute():
     assert beta_formula(AscentSetSpec(2, ()), strict=True) == 2
     assert beta_formula(AscentSetSpec(2, (1,)), strict=False) == 3
     for n in range(1, 6):
-        for r in range(n):
-            for s in itertools.combinations(range(1, n), r):
-                spec = AscentSetSpec(n, s)
-                for strict in (False, True):
-                    assert beta_formula(spec, strict=strict) == beta_brute(
-                        spec, strict=strict
-                    )
-                    assert beta_equal_by_subsets(spec, strict=strict) == beta_brute(
-                        spec, strict=strict, mode="equal"
-                    )
+        for strict in (False, True):
+            tally = Counter(ascent_set(w, strict) for w in enumerate_cayley(n))
+            for r in range(n):
+                for s in itertools.combinations(range(1, n), r):
+                    spec = AscentSetSpec(n, s)
+                    inside = sum(c for a, c in tally.items() if a <= frozenset(s))
+                    assert beta_formula(spec, strict=strict) == inside
+                    assert beta_equal_by_subsets(spec, strict=strict) == tally[frozenset(s)]
 
 
 def test_beta_sums_over_row_sum_classes_recover_totals():
@@ -567,3 +565,55 @@ def test_closed_form_summations_are_load_bearing(
     results = {r.name: r for r in getattr(identities, check)(*bounds)}
     assert results[name].status == "fail"
     assert set(routes) <= set(results[name].witness)
+
+
+def _ascent_set_changed_at_121(change, weak_only=False):
+    def perturb(real):
+        def ascent_set(w, strict=False):
+            a = real(w, strict)
+            return change(a, len(w)) if w == (1, 2, 1) and not (weak_only and strict) else a
+
+        return ascent_set
+
+    return perturb
+
+
+def _one_more_at_3_1(real):
+    return lambda spec: real(spec) + ((spec.n, spec.positions) == (3, (1,)))
+
+
+@pytest.mark.parametrize(
+    "module, attribute, perturb, failing",
+    [
+        (words, "ascent_set", _ascent_set_changed_at_121(lambda a, n: a - {1}),
+         {"beta-formula-vs-brute", "beta-equal-mode"}),
+        (words, "ascent_set", _ascent_set_changed_at_121(lambda a, n: a | {n}, weak_only=True),
+         {"beta-formula-vs-brute", "beta-equal-mode"}),
+        (words, "alpha_count", _one_more_at_3_1, {"alpha-vs-determinant"}),
+        (words, "beta_perm_determinant", _one_more_at_3_1, {"alpha-vs-determinant"}),
+        (identities, "beta_equal_by_subsets",
+         lambda real: lambda spec, strict=False: real(spec, strict) + 1, {"beta-equal-mode"}),
+        (words, "enumerate_linear_orders",
+         lambda real: lambda n: itertools.islice(real(n), n == 4, None), {"alpha-vs-determinant"}),
+        # the counts depend only on the multiset of a row-sum vector's parts,
+        # so the perturbation changes a sum rather than the order
+        (burge, "row_sums", lambda real: lambda a: (real(a)[0] + 1, *real(a)[1:]),
+         {"beta-vs-matrix-row-sums"}),
+    ],
+    ids=[
+        "ascent-set-drops-1-from-121",
+        "ascent-set-adds-n-to-a-weak-set",
+        "alpha-count-one-more",
+        "determinant-one-more",
+        "equal-by-subsets-one-more",
+        "linear-orders-lose-the-first",
+        "row-sums-first-sum-one-more",
+    ],
+)
+def test_beta_routes_are_load_bearing(monkeypatch, module, attribute, perturb, failing):
+    """Each of check_beta's routes feeds a comparison: a wrong ascent set,
+    closed form, determinant, permutation stream or row-sum vector fails
+    exactly the results that read it."""
+    monkeypatch.setattr(module, attribute, perturb(getattr(module, attribute)))
+    results = identities.check_beta(5)
+    assert {r.name for r in results if r.status == "fail"} == failing

@@ -13,7 +13,6 @@ from cayburge.words import (
     alpha_count,
     ascent_set,
     ballot_to_cayley,
-    beta_brute,
     beta_perm_determinant,
     caylerian_brute,
     cayley_to_ballot,
@@ -233,29 +232,6 @@ def test_alpha_count_matches_brute_force():
                 spec = AscentSetSpec(n, s)
                 brute = sum(1 for p in perms if ascent_set(p) <= frozenset(s))
                 assert alpha_count(spec) == brute
-
-
-def test_beta_brute_examples():
-    assert beta_brute(AscentSetSpec(3, ()), strict=False) == 1
-    assert beta_brute(AscentSetSpec(2, ()), strict=True) == 2
-    assert beta_brute(AscentSetSpec(2, (1,)), strict=False) == 3
-    assert beta_brute(AscentSetSpec(2, (1,)), strict=False, mode="equal") == 2
-    with pytest.raises(ValueError):
-        beta_brute(AscentSetSpec(2, ()), mode="exact")
-
-
-def test_beta_equal_mode_partitions_subset_mode():
-    for n in range(1, 6):
-        for strict in (False, True):
-            for r in range(n):
-                for s in itertools.combinations(range(1, n), r):
-                    spec = AscentSetSpec(n, s)
-                    total = sum(
-                        beta_brute(AscentSetSpec(n, sub), strict=strict, mode="equal")
-                        for size in range(len(s) + 1)
-                        for sub in itertools.combinations(s, size)
-                    )
-                    assert total == beta_brute(spec, strict=strict)
 
 
 def test_determinant_counts_exact_ascent_sets():

@@ -18,7 +18,9 @@ enumerate-stream workload, every enumerable object in text, json and
 csv at sizes 0-2 (each --binary variant too), argparse's own failures
 (an unknown subcommand, a bad choice, a bad integer) and --help, one
 refused flag, three refused --ascents values (unparsable, out of range,
-and a rows mismatch), and the same parse errors again after valid
+and a rows mismatch), `oeis` on each sequence against its bundled
+b-file (the default bound, every --max-n up to the cap and one past it,
+in text, json and csv), and the same parse errors again after valid
 commands, so that a parser reused across calls shows.  Help and usage
 text wrap at COLUMNS, which is fixed at 80 here; argparse's wording can
 differ between Python versions, so compare digests made by the same
@@ -97,6 +99,14 @@ def commands() -> list[list[str]]:
         ["enumerate", "mat", "--n", "3", "--ascents", "7"],
         ["enumerate", "signed", "--rows", "2", "--size", "3", "--ascents", ""],
     ]
+    # each sequence against its bundled b-file: the default bound, every
+    # --max-n up to the cap, and one past the cap, in every format
+    caps = {"A000670": FORMULA_BOUND, "A120733": FORMULA_BOUND, "A101370": FORMULA_BOUND, "A366173": 7}
+    for seq, cap in caps.items():
+        past_cap = ["--max-n", str(cap + 1), "--unsafe-bounds"]
+        for flags in [[], *(["--max-n", str(n)] for n in range(1, cap + 1)), past_cap]:
+            for fmt in ("text", "json", "csv"):
+                out.append(["oeis", seq, *flags, "--format", fmt])
     failures = [
         ["frobnicate"],
         ["enumerate", "permutation", "--n", "2"],
