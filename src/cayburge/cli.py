@@ -7,8 +7,9 @@ Subcommands:
   verify      run the cross-verification suites
   oeis        compare engine values against a b-file
 
-`enumerate` writes each object as it is generated, in the requested
-format only.  `enumerate` and `count` refuse the flags their object does
+`enumerate` writes each object as it is generated (Cayley words in text
+and csv a chunk at a time after the first), in the requested format
+only.  `enumerate` and `count` refuse the flags their object does
 not read.  `verify` writes text or json and refuses csv.  `oeis` takes
 --max-n >= 1 and at most one of --b-file and --fetch.
 
@@ -30,8 +31,9 @@ import os
 import sys
 from fractions import Fraction
 from importlib import resources
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from pathlib import Path
+from typing import Iterator
 
 from . import burge, identities, lomat, words
 from .kernel import fubini
@@ -50,6 +52,8 @@ CACHE_ENV = "CAYBURGE_CACHE_DIR"
 
 # letter -> its digit, for words whose letters are all below 10
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+# how many Cayley words go to one rendered chunk, after the first word
+_BATCH = 1024
 
 
 def _render_word(w: tuple[int, ...]) -> str:
@@ -60,22 +64,83 @@ def _render_word(w: tuple[int, ...]) -> str:
     return " ".join(map(str, w))
 
 
-def _render_ballot(ballot) -> str:
-    return "".join(["{" + ",".join(map(str, sorted(b))) + "}" for b in ballot])
-
-
-def _render_mat(mat) -> str:
-    return "[" + "; ".join([" ".join(map(str, row)) for row in mat]) + "]"
-
-
 def _render_lomat(m) -> str:
-    rows = [" ".join([_render_word(e) if e else "." for e in row]) for row in m.entries]
-    return "[" + "; ".join(rows) + "]"
+    """The rows of m; "." marks an empty entry."""
+    word, height = m.word, m.rows
+    if max(word, default=0) <= 9:  # each entry is a slice of the word rendered once
+        text = bytes(word).translate(_DIGITS).decode()
+        lengths = list(chain.from_iterable(zip(*m.grid)))  # column by column, as the word reads
+        cells = [text[end - k : end] or "." for k, end in zip(lengths, accumulate(lengths))]
+    else:  # letters of two digits or more are space-separated within an entry
+        cells = [_render_word(e) if e else "." for e in lomat._cells(m)]
+    return "[" + "; ".join([" ".join(cells[i::height]) for i in range(height)]) + "]"
 
 
-def _render_signed(sm) -> str:
-    signs = "".join(["+" if s == 1 else "-" for s in sm.signs])
-    return f"signs={signs or '()'} {_render_lomat(sm.matrix)}"
+# The text renderers.  Each takes one stream of objects and yields its
+# text lines, one or more to a chunk joined by newlines, rendering each
+# part that repeats in the stream once; what they remember lives as long
+# as the stream and is bounded by the number of distinct parts.  The csv
+# cells are the same lines.
+
+
+def _digit_words(batch: list) -> bytes | None:
+    """The words of ``batch`` as bytes joined by newlines, or None unless
+    each word is nonempty and every letter is below 10."""
+    if not all(batch):
+        return None
+    try:
+        joined = b"\n".join(map(bytes, batch))
+    except ValueError:  # a letter outside 0-255
+        return None
+    # deleting the letters 0-9 leaves only the newlines between the words
+    return joined if len(joined.translate(None, bytes(range(10)))) == len(batch) - 1 else None
+
+
+def _word_text(words) -> Iterator[str]:
+    """Cayley words: the first alone, so that it is out before the second
+    is generated, then _BATCH to a chunk."""
+    words, size = iter(words), 1
+    while batch := list(islice(words, size)):
+        joined = _digit_words(batch)
+        yield "\n".join(map(_render_word, batch)) if joined is None else joined.translate(_DIGITS).decode()
+        size = _BATCH
+
+
+def _ballot_text(ballots) -> Iterator[str]:
+    block = functools.cache(lambda b: "{" + ",".join(map(str, sorted(b))) + "}")
+    for ballot in ballots:
+        yield "".join(map(block, ballot))
+
+
+def _burge_text(biwords) -> Iterator[str]:
+    u = None
+    for bw in biwords:
+        if bw.u is not u:  # u repeats across its group of words
+            u = bw.u
+            prefix = _render_word(u) + "|"
+        yield prefix + _render_word(bw.v)
+
+
+def _mat_text(mats) -> Iterator[str]:
+    row = functools.cache(lambda r: " ".join(map(str, r)))
+    for mat in mats:
+        yield "[" + "; ".join(map(row, mat)) + "]"
+
+
+def _genmat_text(structures) -> Iterator[str]:
+    return map(_render_lomat, structures)
+
+
+def _signed_text(structures) -> Iterator[str]:
+    signs_text = functools.cache(lambda signs: "".join(["+" if s == 1 else "-" for s in signs]) or "()")
+    base = None
+    for sm in structures:
+        # a base is rendered once for all its sign vectors; holding it
+        # keeps its id from being reused by a later base
+        if sm.matrix is not base:
+            base = sm.matrix
+            text = _render_lomat(base)
+        yield f"signs={signs_text(sm.signs)} {text}"
 
 
 def _json_lomat(m) -> list:
@@ -218,40 +283,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # object -> (the flags it reads, its generator called with those flags by
-# name (--ascents as an AscentSetSpec or None), its text line and csv cell,
-# its JSON value).  Any other enumerate flag is refused.  The lambdas look
-# the generators up at call time, so rebinding a module attribute (a test
-# double, a tracer) reaches every enumerate command.
+# name (--ascents as an AscentSetSpec or None), its text renderer (the
+# text lines and csv cells of one stream), its JSON value).  Any other
+# enumerate flag is refused.  The lambdas look the generators up at call
+# time, so rebinding a module attribute (a test double, a tracer) reaches
+# every enumerate command.
 ENUMERABLE = {
-    "cayley": (("n",), lambda n: words.enumerate_cayley(n), _render_word, list),
+    "cayley": (("n",), lambda n: words.enumerate_cayley(n), _word_text, list),
     "ballot": (
         ("n",),
         lambda n: words.enumerate_ballots(n),
-        _render_ballot,
+        _ballot_text,
         lambda ballot: [sorted(b) for b in ballot],
     ),
     "burge": (
         ("n", "binary"),
         lambda n, binary: burge.enumerate_burge(n, binary=binary),
-        lambda bw: f"{_render_word(bw.u)}|{_render_word(bw.v)}",
+        _burge_text,
         lambda bw: {"u": list(bw.u), "v": list(bw.v)},
     ),
     "mat": (
         ("n", "binary", "ascents"),
         lambda n, binary, ascents: burge.enumerate_mat(n, binary=binary, row_sums_spec=ascents),
-        _render_mat,
+        _mat_text,
         lambda mat: [list(row) for row in mat],
     ),
     "genmat": (
         ("rows", "size", "binary"),
         lambda rows, size, binary: lomat.enumerate_genmat(rows, size, binary=binary),
-        _render_lomat,
+        _genmat_text,
         _json_lomat,
     ),
     "signed": (
         ("rows", "size", "ascents"),
         lambda rows, size, ascents: lomat.enumerate_signed(rows, size, row_sums_spec=ascents),
-        _render_signed,
+        _signed_text,
         lambda sm: {"signs": list(sm.signs), "entries": _json_lomat(sm.matrix)},
     ),
 }
@@ -288,7 +354,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _write_stream(fmt: str, record: dict, objects, text, value) -> None:
-    """Write each object as soon as it is generated, in one format only."""
+    """Write each object as soon as it is generated, or each chunk of
+    lines the text renderer makes of them, in one format only."""
     out = sys.stdout
     if fmt == "json":
         # the bytes of json.dumps(record | {"value": [...]}, sort_keys=True);
@@ -303,9 +370,10 @@ def _write_stream(fmt: str, record: dict, objects, text, value) -> None:
     elif fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(["value"])
-        writer.writerows([text(x)] for x in objects)
+        # no line holds a newline, so a chunk splits into its lines
+        writer.writerows([line] for chunk in text(objects) for line in chunk.split("\n"))
     else:
-        out.writelines(text(x) + "\n" for x in objects)
+        out.writelines(chunk + "\n" for chunk in text(objects))
 
 
 # ---------------------------------------------------------------------------
@@ -407,20 +475,32 @@ def _cmd_verify(args) -> int:
 # oeis
 
 
-def _triangle_rows(bound: int) -> list[int]:
-    """A366173 read by rows: the coefficients of C_1(t), ..., C_bound(t)."""
-    rows = (identities.caylerian_formula(n) for n in range(1, bound + 1))
-    return [row.coefficient(k) for n, row in enumerate(rows, start=1) for k in range(n)]
+def _triangle_terms(last: int) -> list[int]:
+    """A366173 read by rows through index ``last``: the coefficients of
+    C_1(t), C_2(t), ..."""
+    terms, n = [], 0
+    while len(terms) < last:
+        n += 1
+        row = identities.caylerian_formula(n)
+        terms += [row.coefficient(k) for k in range(n)]
+    return terms[:last]
 
 
-# each sequence: its terms through a bound, the index of its first term, and its cap
+# each sequence: its terms from its first index through a given index,
+# its first index, its last index under a bound (the last row, for the
+# triangle), and the cap on that bound
 OEIS_VALUES = {
-    "A000670": (lambda bound: [fubini(i) for i in range(bound + 1)], 0, FORMULA_BOUND),
-    "A120733": (lambda bound: [identities.count_mat(i) for i in range(bound + 1)], 0, FORMULA_BOUND),
-    "A101370": (
-        lambda bound: [identities.count_mat(i, binary=True) for i in range(bound + 1)], 0, FORMULA_BOUND
+    "A000670": (lambda last: [fubini(i) for i in range(last + 1)], 0, lambda bound: bound, FORMULA_BOUND),
+    "A120733": (
+        lambda last: [identities.count_mat(i) for i in range(last + 1)], 0, lambda bound: bound, FORMULA_BOUND
     ),
-    "A366173": (_triangle_rows, 1, 7),
+    "A101370": (
+        lambda last: [identities.count_mat(i, binary=True) for i in range(last + 1)],
+        0,
+        lambda bound: bound,
+        FORMULA_BOUND,
+    ),
+    "A366173": (_triangle_terms, 1, lambda rows: rows * (rows + 1) // 2, 7),
 }
 
 
@@ -467,7 +547,7 @@ def _bfile_text(args) -> str:
 
 
 def _cmd_oeis(args) -> int:
-    terms_through, first, default_bound = OEIS_VALUES[args.sequence]
+    terms_through, first, last_index, default_bound = OEIS_VALUES[args.sequence]
     bound = args.max_n if args.max_n is not None else default_bound
     if bound < 1:
         return _fail(f"--max-n must be at least 1, got {bound}", 2)
@@ -481,12 +561,11 @@ def _cmd_oeis(args) -> int:
         return _fail(f"could not fetch b-file: {exc}", 2)
     except ValueError as exc:  # a bad line, or a file that is not UTF-8
         return _fail(f"malformed b-file: {exc}", 2)
-    terms = terms_through(bound)
-    max_index = first + len(terms) - 1
-    checked = 0
-    for idx, expected in entries:
-        if idx > max_index:
-            break
+    max_index = last_index(bound)
+    compared = [(idx, expected) for idx, expected in entries if idx <= max_index]
+    # the terms reach only as far as the b-file does
+    terms = terms_through(compared[-1][0] if compared else first - 1)
+    for idx, expected in compared:
         if idx < first:
             return _fail(f"{args.sequence} index {idx} is below its first index {first}", 2)
         got = terms[idx - first]
@@ -495,7 +574,7 @@ def _cmd_oeis(args) -> int:
                 f"{args.sequence} mismatch at index {idx}: engine {got}, b-file {expected}"
             )
             return 1
-        checked += 1
+    checked = len(compared)
     summary = {"checked": checked, "max_index": max_index, "status": "ok"}
     if args.format == "json":
         _emit_record(args, args.sequence, {"max_n": bound}, "fixture-compare", summary)

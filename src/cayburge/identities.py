@@ -762,8 +762,9 @@ def check_beta(max_n: int) -> list[CheckResult]:
     perm_ascents = {
         n: Counter(map(words.ascent_set, words.enumerate_linear_orders(n))) for n in sizes
     }
+    cayley = {n: list(words.enumerate_cayley(n)) for n in sizes}  # one walk serves both tallies
     word_ascents = {
-        (n, strict): Counter(words.ascent_set(w, strict) for w in words.enumerate_cayley(n))
+        (n, strict): Counter(words.ascent_set(w, strict) for w in cayley[n])
         for n in sizes
         for strict in (False, True)
     }

@@ -1,17 +1,19 @@
 """Command line interface: output formats, bounds, exit codes, fixtures."""
 
+import csv
 import io
 import json
 import os
 import subprocess
 import sys
+from itertools import cycle, islice
 from pathlib import Path
 
 import pytest
 
 import cayburge
-from cayburge import identities, lomat, words
-from cayburge.cli import _render_signed, _render_word, main, parse_bfile
+from cayburge import burge, cli, identities, lomat, words
+from cayburge.cli import _render_word, main, parse_bfile
 
 
 def run_cli(capsys, *argv):
@@ -260,7 +262,92 @@ def test_render_edge_branches():
     assert _render_word((10, 2, 1)) == "10 2 1"  # no enumerate command reaches it below n = 10
     assert _render_word((9, 1, 2, 1)) == "9121"
     no_rows = lomat.SignedLOMatrix(lomat.from_length_grid(()), ())
-    assert _render_signed(no_rows) == "signs=() []"
+    assert list(cli._signed_text([no_rows])) == ["signs=() []"]
+
+
+# A model of each object's text line, rendered on its own with nothing
+# remembered; the stream renderers must give exactly its bytes.
+def _model_word(w):
+    return "eps" if not w else ("" if max(w) <= 9 else " ").join(map(str, w))
+
+
+def _model_lomat(m):
+    return "[" + "; ".join(" ".join(_model_word(e) if e else "." for e in row) for row in m.entries) + "]"
+
+
+MODEL_LINE = {
+    "cayley": _model_word,
+    "ballot": lambda ballot: "".join("{" + ",".join(map(str, sorted(b))) + "}" for b in ballot),
+    "burge": lambda bw: f"{_model_word(bw.u)}|{_model_word(bw.v)}",
+    "mat": lambda mat: "[" + "; ".join(" ".join(map(str, row)) for row in mat) + "]",
+    "genmat": _model_lomat,
+    "signed": lambda sm: f"signs={''.join('+' if s == 1 else '-' for s in sm.signs) or '()'} {_model_lomat(sm.matrix)}",
+}
+
+# object -> the generator that feeds it, and size flags its command accepts
+STREAM_SOURCE = {
+    "cayley": (words, "enumerate_cayley", ["--n", "1"]),
+    "ballot": (words, "enumerate_ballots", ["--n", "1"]),
+    "burge": (burge, "enumerate_burge", ["--n", "1"]),
+    "mat": (burge, "enumerate_mat", ["--n", "1"]),
+    "genmat": (lomat, "enumerate_genmat", ["--rows", "1", "--size", "1"]),
+    "signed": (lomat, "enumerate_signed", ["--rows", "1", "--size", "1"]),
+}
+
+
+def _cayley_stream(size, last=None):
+    """``size`` Cayley words of size 4, the last one replaced by ``last``."""
+    stream = list(islice(cycle(words.enumerate_cayley(4)), size))
+    return stream[:-1] + [last] if last else stream
+
+
+def _signed_with_wide_letters():
+    base = lomat.from_length_grid(((10, 0),))  # letters 1..10, an empty second column
+    other = lomat.from_length_grid(((0, 3, 0), (9, 0, 0)))
+    return [lomat.SignedLOMatrix(base, (1, 1)), lomat.SignedLOMatrix(base, (1, -1)),
+            lomat.SignedLOMatrix(other, (1, 1, -1)), lomat.SignedLOMatrix(lomat.from_length_grid(()), ())]
+
+
+def _burge_with_wide_letters():
+    u = tuple(range(1, 12))  # letters up to 11
+    return [burge.BurgeWord(u, u[::-1]), burge.BurgeWord(u, (1,) * 11), burge.BurgeWord((1, 1), (2, 1))]
+
+
+EDGE_STREAMS = {
+    "cayley-n0": ("cayley", lambda: list(words.enumerate_cayley(0))),
+    "cayley-empty-word-in-a-batch": ("cayley", lambda: [(1,), (1, 2), (), (2, 1)]),
+    "cayley-letters-9-and-10-in-one-batch": ("cayley", lambda: [(1,), (9, 1, 2), (10, 9, 1), (2, 1)]),
+    "cayley-letter-300": ("cayley", lambda: [(1,), (300, 1), (2, 1)]),
+    "cayley-batch": ("cayley", lambda: _cayley_stream(cli._BATCH)),
+    "cayley-batch-plus-1": ("cayley", lambda: _cayley_stream(cli._BATCH + 1)),
+    "cayley-batch-plus-2-ending-in-10": ("cayley", lambda: _cayley_stream(cli._BATCH + 2, (10, 1))),
+    "ballot-n4": ("ballot", lambda: list(words.enumerate_ballots(4))),
+    "burge-n3": ("burge", lambda: list(burge.enumerate_burge(3))),
+    "burge-letters-10-and-11": ("burge", _burge_with_wide_letters),
+    "mat-n4": ("mat", lambda: list(burge.enumerate_mat(4))),
+    "genmat-rows2-size3": ("genmat", lambda: list(lomat.enumerate_genmat(2, 3))),
+    "genmat-rows1-size10": ("genmat", lambda: list(lomat.enumerate_genmat(1, 10))),
+    "signed-rows2-size3": ("signed", lambda: list(lomat.enumerate_signed(2, 3))),
+    "signed-letters-to-10-empty-columns": ("signed", _signed_with_wide_letters),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("case", list(EDGE_STREAMS))
+def test_stream_renderers_give_the_bytes_of_the_per_object_model(capsys, monkeypatch, case, fmt):
+    obj, make = EDGE_STREAMS[case]
+    objects = make()
+    module, attribute, flags = STREAM_SOURCE[obj]
+    monkeypatch.setattr(module, attribute, lambda *args, **kwargs: iter(objects))
+    lines = [MODEL_LINE[obj](x) for x in objects]
+    if fmt == "text":
+        expected = "".join(line + "\n" for line in lines)
+    else:
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows([["value"], *([line] for line in lines)])
+        expected = buffer.getvalue()
+    code, out, err = run_cli(capsys, "enumerate", obj, *flags, "--format", fmt)
+    assert (code, out, err) == (0, expected, "")
 
 
 @pytest.mark.parametrize(
@@ -432,15 +519,15 @@ def test_bad_ascents_spec(capsys):
         assert err.strip() == "--ascents: " + message
 
 
-def test_signed_bases_are_cut_into_entries_once(capsys, monkeypatch):
-    """Each signed base is rendered once per sign vector; its cached
-    entries are cut from the word once, however many lines print it."""
+def test_signed_bases_are_rendered_once(capsys, monkeypatch):
+    """Each signed base is rendered once for all its sign vectors,
+    however many lines print it."""
     calls = []
-    real = lomat._cells
-    monkeypatch.setattr(lomat, "_cells", lambda m: calls.append(m) or real(m))
+    real = cli._render_lomat
+    monkeypatch.setattr(cli, "_render_lomat", lambda m: calls.append(m) or real(m))
     code, out, _ = run_cli(capsys, "enumerate", "signed", "--rows", "2", "--size", "3")
     assert code == 0 and len(out.splitlines()) == 160
-    assert len(calls) == 80
+    assert len(calls) == 80 and len({(m.word, m.grid) for m in calls}) == 80
 
 
 def test_verify_pass_and_formats(capsys):
@@ -561,6 +648,15 @@ def test_oeis_bfile_not_utf8_is_malformed(tmp_path, capsys):
     code, out, err = run_cli(capsys, "oeis", "A000670", "--b-file", str(bad))
     assert code == 2 and out == ""
     assert "malformed b-file" in err
+
+
+def test_oeis_computes_terms_only_as_far_as_the_bfile_reaches(capsys, monkeypatch):
+    calls = []
+    real = identities.count_mat
+    monkeypatch.setattr(identities, "count_mat", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    code, out, _ = run_cli(capsys, "oeis", "A120733", "--max-n", "300", "--unsafe-bounds")
+    assert (code, out) == (0, "A120733: 13 values agree (indices <= 300)\n")
+    assert len(calls) <= 13
 
 
 def test_oeis_bound(capsys):

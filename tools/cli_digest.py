@@ -14,18 +14,19 @@ can be checked against its parent:
 The set covers the verify suites (one unconverged), every closed-form
 count method, both certified sums, both polynomial formulas past the
 formula cap, the ten enumerate commands of the benchmark's
-enumerate-stream workload, every enumerable object in text, json and
-csv at sizes 0-2 (each --binary variant too), argparse's own failures
-(an unknown subcommand, a bad choice, a bad integer) and --help, one
-refused flag, three refused --ascents values (unparsable, out of range,
-and a rows mismatch), `oeis` on each sequence against its bundled
-b-file (the default bound, every --max-n up to the cap and one past it,
-in text, json and csv), and the same parse errors again after valid
-commands, so that a parser reused across calls shows.  Help and usage
-text wrap at COLUMNS, which is fixed at 80 here; argparse's wording can
-differ between Python versions, so compare digests made by the same
-interpreter.  It takes under a minute on one core.  Standard library
-only.
+enumerate-stream workload, two genmat commands at size 10 (the only ones
+whose entries hold a letter of two digits), every enumerable object in
+text, json and csv at sizes 0-2 (each --binary variant too), argparse's
+own failures (an unknown subcommand, a bad choice, a bad integer) and
+--help, one refused flag, three refused --ascents values (unparsable,
+out of range, and a rows mismatch), `oeis` on each sequence against its
+bundled b-file (the default bound, every --max-n up to the cap and one
+past it, in text, json and csv), and the same parse errors again after
+valid commands, so that a parser reused across calls shows.  Help and
+usage text wrap at COLUMNS, which is fixed at 80 here; argparse's
+wording can differ between Python versions, so compare digests made by
+the same interpreter.  It takes under a minute on one core.  Standard
+library only.
 """
 
 import argparse
@@ -77,6 +78,9 @@ def commands() -> list[list[str]]:
         ["enumerate", "genmat", "--rows", "4", "--size", "5", "--format", "json"],
         ["enumerate", "signed", "--rows", "3", "--size", "5"],
         ["enumerate", "signed", "--rows", "3", "--size", "6", "--ascents", "2,4"],
+        # letters of two digits, which the renderers space-separate
+        ["enumerate", "genmat", "--rows", "1", "--size", "10", "--unsafe-bounds"],
+        ["enumerate", "genmat", "--rows", "2", "--size", "10", "--binary", "--unsafe-bounds"],
     ]
     # each enumerable object at the smallest sizes, in every format
     by_n = [["--n", str(n)] for n in range(3)]
