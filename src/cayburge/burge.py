@@ -45,7 +45,7 @@ class BurgeWord(NamedTuple):
     v: Word
 
 
-def is_burge_word(bw: BurgeWord, binary: bool = False) -> bool:
+def is_burge_word(bw: BurgeWord) -> bool:
     u, v = bw
     if len(u) != len(v):
         return False
@@ -53,8 +53,7 @@ def is_burge_word(bw: BurgeWord, binary: bool = False) -> bool:
         return False
     if any(a > b for a, b in zip(u, u[1:])):
         return False
-    need = descent_mask(v, strict=binary)
-    return descent_mask(u, strict=False) & ~need == 0
+    return descent_mask(u) & ~descent_mask(v) == 0
 
 
 def row_sums(mat: Matrix) -> tuple[int, ...]:

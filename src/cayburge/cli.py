@@ -439,10 +439,7 @@ def _cmd_verify(args) -> int:
     error = _size_error(args, {"max_n": VERIFY_BOUND_N, "max_m": VERIFY_BOUND_M})
     if error:
         return _fail(f"verify: {error}", 2)
-    try:
-        results = identities.run_suite(args.suite, args.max_n, args.max_m, args.tail_bound)
-    except identities.UnconvergedError as exc:
-        return _fail(str(exc), 3)
+    results = identities.run_suite(args.suite, args.max_n, args.max_m, args.tail_bound)
     summary = {"pass": 0, "fail": 0, "unconverged": 0}
     for r in results:
         summary[r.status] += 1
@@ -558,7 +555,7 @@ def _cmd_oeis(args) -> int:
     except FileNotFoundError as exc:
         return _fail(f"b-file not found: {exc}", 2)
     except OSError as exc:
-        return _fail(f"could not fetch b-file: {exc}", 2)
+        return _fail(f"could not {'fetch' if args.fetch else 'read'} b-file: {exc}", 2)
     except ValueError as exc:  # a bad line, or a file that is not UTF-8
         return _fail(f"malformed b-file: {exc}", 2)
     max_index = last_index(bound)

@@ -643,7 +643,8 @@ def check_tau(max_n: int, max_m: int) -> list[CheckResult]:
 
 def check_tau_row_complete(max_n: int) -> list[CheckResult]:
     """The signed xi sum over the structures with no empty row, any row
-    count, equals n! * |BMat[n]|.
+    count, equals n! * |BMat[n]|: the length grids of their bases are
+    the Burge matrices.
 
     tau keeps the grid, and with it the empty rows, so this family is
     closed under tau and the sum counts its fixed points.  check_tau
@@ -653,7 +654,9 @@ def check_tau_row_complete(max_n: int) -> list[CheckResult]:
     def routes(n: int) -> dict:
         perms = list(words.enumerate_linear_orders(n))
         signed = sum(
-            lomat.xi_atoms(lomat.act(w, base)) for base in lomat.enumerate_mat_normalized(n) for w in perms
+            lomat.xi_atoms(lomat.act(w, base))
+            for base in map(lomat.from_length_grid, burge.enumerate_mat(n))
+            for w in perms
         )
         return {"signed": signed, "formula": math.factorial(n) * count_mat(n, binary=True)}
 

@@ -59,7 +59,6 @@ __all__ = [
     "enumerate_genmat",
     "enumerate_lomat",
     "enumerate_lomat_direct",
-    "enumerate_mat_normalized",
     "leftmost_empty_column",
     "gamma",
     "enumerate_signed",
@@ -142,19 +141,6 @@ class LinOrderMatrix:
     def has_empty_row(self) -> bool:
         return not _layout(self).full_rows
 
-    def is_normalized(self) -> bool:
-        return self.word == tuple(range(1, len(self.word) + 1))
-
-    def validate(self, allow_empty_columns: bool = False) -> None:
-        """Raise ValueError unless the lengths are >= 0 and the letters tile {1..n}."""
-        _check_lengths(self.grid)
-        if sorted(self.word) != list(range(1, len(self.word) + 1)):
-            raise ValueError("the letters are not 1..n, each once")
-        if not allow_empty_columns:
-            for j in range(self.cols):
-                if self.column_empty(j):
-                    raise ValueError(f"column {j + 1} is empty")
-
 
 class _Layout:
     """What a grid fixes for every word on it, derived once per grid and
@@ -191,11 +177,6 @@ def _layout(m: LinOrderMatrix) -> _Layout:
     if m._layout is None:
         m._layout = _Layout(m._grid)
     return m._layout
-
-
-def _check_lengths(grid: tuple[tuple[int, ...], ...]) -> None:
-    if min(chain.from_iterable(grid), default=0) < 0:
-        raise ValueError("negative entry length")
 
 
 def _cells(m: LinOrderMatrix) -> list[Word]:
@@ -285,7 +266,8 @@ def from_length_grid(grid: Sequence[Sequence[int]]) -> LinOrderMatrix:
     result satisfies prod(M) = 12..n.
     """
     grid = tuple(map(tuple, grid))
-    _check_lengths(grid)
+    if min(chain.from_iterable(grid), default=0) < 0:
+        raise ValueError("negative entry length")
     return LinOrderMatrix(tuple(range(1, sum(map(sum, grid)) + 1)), grid)
 
 
@@ -448,15 +430,6 @@ def enumerate_lomat_direct(m: int, n: int) -> Iterator[LinOrderMatrix]:
             yield LinOrderMatrix(word, grid)
 
 
-def enumerate_mat_normalized(n: int, binary: bool = False) -> Iterator[LinOrderMatrix]:
-    """Normalized structures with no empty row (and no empty column), any
-    number of rows; their length grids are exactly the Burge matrices."""
-    from .burge import enumerate_mat
-
-    for grid in enumerate_mat(n, binary=binary):
-        yield from_length_grid(grid)
-
-
 # ---------------------------------------------------------------------------
 # signed structures
 
@@ -474,19 +447,6 @@ class SignedLOMatrix:
     @property
     def xi(self) -> int:
         return -1 if self.signs.count(-1) % 2 else 1
-
-    def validate(self) -> None:
-        m = self.matrix
-        m.validate(allow_empty_columns=True)
-        if not m.is_normalized():
-            raise ValueError("signed structure must be normalized")
-        if len(self.signs) != m.cols:
-            raise ValueError("one sign per column is required")
-        for j, s in enumerate(self.signs):
-            if s not in (1, -1):
-                raise ValueError(f"sign {s} is not +-1")
-            if s == -1 and not m.column_empty(j):
-                raise ValueError(f"nonempty column {j + 1} carries sign -1")
 
 
 def leftmost_empty_column(m: LinOrderMatrix) -> int:

@@ -194,7 +194,7 @@ class AscentSetSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("AscentSetSpec needs n >= 1")
+            raise ValueError(f"an ascent set needs n >= 1, got {self.n}")
         ps = tuple(sorted(set(self.positions)))
         if ps != tuple(self.positions):
             object.__setattr__(self, "positions", ps)

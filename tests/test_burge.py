@@ -48,9 +48,6 @@ def test_worked_biword_roundtrip():
 def test_is_burge_word():
     assert is_burge_word(BurgeWord((1, 2), (1, 1)))
     assert not is_burge_word(BurgeWord((1, 1), (1, 2)))
-    # strict containment: plateau of v is a weak but not strict descent
-    assert is_burge_word(BurgeWord((1, 1), (2, 1)), binary=True)
-    assert not is_burge_word(BurgeWord((1, 1), (1, 1)), binary=True)
     # u must be weakly increasing and both words Cayley
     assert not is_burge_word(BurgeWord((2, 1), (1, 2)))
     assert not is_burge_word(BurgeWord((1, 3), (1, 1)))

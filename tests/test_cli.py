@@ -513,6 +513,7 @@ def test_bad_ascents_spec(capsys):
     for argv, message in [
         (["mat", "--n", "3", "--ascents", "7"], "position 7 outside 1..2"),
         (["signed", "--rows", "2", "--size", "3", "--ascents", ""], "delta has 1 parts but the structures have 2 rows"),
+        (["mat", "--n", "0", "--ascents", ""], "an ascent set needs n >= 1, got 0"),
     ]:
         code, out, err = run_cli(capsys, "enumerate", *argv)
         assert code == 2 and out == ""
@@ -648,6 +649,11 @@ def test_oeis_bfile_not_utf8_is_malformed(tmp_path, capsys):
     code, out, err = run_cli(capsys, "oeis", "A000670", "--b-file", str(bad))
     assert code == 2 and out == ""
     assert "malformed b-file" in err
+
+
+def test_oeis_bfile_that_cannot_be_read(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "oeis", "A000670", "--b-file", str(tmp_path))
+    assert (code, out) == (2, "") and err.startswith("could not read b-file: ")
 
 
 def test_oeis_computes_terms_only_as_far_as_the_bfile_reaches(capsys, monkeypatch):

@@ -419,17 +419,17 @@ def _xi_atoms_flipped_on_one(real, one=lomat.LinOrderMatrix((2, 1), ((2,),))):
 
 
 @pytest.mark.parametrize(
-    "route, perturb, check",
+    "owner, route, perturb, check",
     [
-        ("gamma", lambda real: lambda sm: sm, "check_gamma"),
-        ("gamma", _gamma_setting_leftmost_empty_negative, "check_gamma"),
-        ("tau", lambda real: lambda x: x, "check_tau"),
-        ("tau", _tau_fixing_descending_swaps, "check_tau"),
-        ("xi_atoms", _xi_atoms_flipped_on_one, "check_tau"),
-        ("enumerate_signed", _without_its_first, "check_gamma"),
-        ("enumerate_lomat", _without_its_first, "check_tau"),
-        ("enumerate_mat_normalized", _without_its_first, "check_tau_row_complete"),
-        ("xi_atoms", _xi_atoms_flipped_on_one, "check_tau_row_complete"),
+        (lomat, "gamma", lambda real: lambda sm: sm, "check_gamma"),
+        (lomat, "gamma", _gamma_setting_leftmost_empty_negative, "check_gamma"),
+        (lomat, "tau", lambda real: lambda x: x, "check_tau"),
+        (lomat, "tau", _tau_fixing_descending_swaps, "check_tau"),
+        (lomat, "xi_atoms", _xi_atoms_flipped_on_one, "check_tau"),
+        (lomat, "enumerate_signed", _without_its_first, "check_gamma"),
+        (lomat, "enumerate_lomat", _without_its_first, "check_tau"),
+        (burge, "enumerate_mat", _without_its_first, "check_tau_row_complete"),
+        (lomat, "xi_atoms", _xi_atoms_flipped_on_one, "check_tau_row_complete"),
     ],
     ids=[
         "gamma-identity",
@@ -443,7 +443,7 @@ def _xi_atoms_flipped_on_one(real, one=lomat.LinOrderMatrix((2, 1), ((2,),))):
         "row-complete-xi-atoms-flipped-on-one",
     ],
 )
-def test_involution_walk_is_load_bearing(monkeypatch, route, perturb, check):
+def test_involution_walk_is_load_bearing(monkeypatch, owner, route, perturb, check):
     """A broken involution, sign or family never lets every result of its
     check pass: the matching walk and the signed sum together carry the
     proof.  The other involution checks are stubbed out, and the check's
@@ -452,7 +452,7 @@ def test_involution_walk_is_load_bearing(monkeypatch, route, perturb, check):
         if other != check:
             monkeypatch.setattr(identities, other, lambda *bounds: [])
     expected = len(run_suite("involutions", 1, 1))
-    monkeypatch.setattr(lomat, route, perturb(getattr(lomat, route)))
+    monkeypatch.setattr(owner, route, perturb(getattr(owner, route)))
     results = run_suite("involutions", 5, 2)
     assert len(results) == expected and not all(r.ok for r in results)
 

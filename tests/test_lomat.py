@@ -9,14 +9,12 @@ from cayburge.burge import enumerate_mat
 from cayburge.lomat import (
     AtomBallot,
     LinOrderMatrix,
-    SignedLOMatrix,
     act,
     atom_count,
     atoms,
     enumerate_genmat,
     enumerate_lomat,
     enumerate_lomat_direct,
-    enumerate_mat_normalized,
     enumerate_signed,
     factor_action,
     from_atom_ballot,
@@ -56,7 +54,6 @@ A = LinOrderMatrix(
 def test_prod_of_worked_example():
     assert prod(M) == W
     assert prod(A) == (1, 2, 3, 4, 5, 6, 7, 8, 9)
-    assert A.is_normalized() and not M.is_normalized()
     assert prod(LinOrderMatrix(())) == ()
 
 
@@ -204,7 +201,7 @@ def test_atom_ballot_roundtrip_exhaustive():
 
 def test_atom_ballot_ballot_mode_roundtrip():
     for n in range(5):
-        for mat in enumerate_mat_normalized(n):
+        for mat in map(from_length_grid, enumerate_mat(n)):
             b = to_atom_ballot(mat, row_mode="ballot")
             assert from_atom_ballot(b) == mat
             with pytest.raises(ValueError):
@@ -298,22 +295,8 @@ def test_constructor_checks_the_grid():
         act((1, 2, 3), base)
     with pytest.raises(ValueError, match="^entry lengths do not add up to the 3 letters$"):
         LinOrderMatrix((1, 2, 3), base.grid, act((2, 1), base)._layout)
-
-
-def test_validate_errors():
-    with pytest.raises(ValueError):
-        LinOrderMatrix((((1,), (1,)),)).validate()  # repeated letter
-    with pytest.raises(ValueError):
-        LinOrderMatrix((((1,), (3,)),)).validate()  # not 1..n
-    with pytest.raises(ValueError):
-        LinOrderMatrix((((1,), ()),)).validate()  # empty column
-    LinOrderMatrix((((1,), ()),)).validate(allow_empty_columns=True)
-    with pytest.raises(ValueError):
-        LinOrderMatrix((((1,), (2,)), ((3,),))).validate()  # ragged
-    # lengths that add up with a negative one pass the constructor, not validate
-    for word, grid in (((1,), ((2, -1),)), ((1, 2), ((2, 1), (0, -1)))):
-        with pytest.raises(ValueError, match="negative entry length"):
-            LinOrderMatrix(word, grid).validate(allow_empty_columns=True)
+    with pytest.raises(ValueError, match="^negative entry length$"):
+        from_length_grid(((2, -1),))
 
 
 def test_enumerate_genmat_2_2():
@@ -321,8 +304,8 @@ def test_enumerate_genmat_2_2():
     assert len(got) == 7
     assert len(set(got)) == 7
     for mat in got:
-        mat.validate()
-        assert mat.is_normalized() and mat.rows == 2
+        assert mat.word == (1, 2) and mat.rows == 2
+        assert leftmost_empty_column(mat) == 0
     assert sum(1 for _ in enumerate_genmat(2, 2, binary=True)) == 5
     assert got == list(enumerate_genmat(2, 2))  # deterministic
 
@@ -369,17 +352,6 @@ def test_enumerate_lomat_direct_order_is_pinned():
             assert [x.entries for x in got] == [x.entries for x in want]
 
 
-def test_enumerate_mat_normalized_matches_burge_grids():
-    for n in range(5):
-        for binary in (False, True):
-            got = list(enumerate_mat_normalized(n, binary=binary))
-            assert all(not mat.has_empty_row() for mat in got)
-            assert {mat.grid for mat in got} == set(
-                enumerate_mat(n, binary=binary)
-            )
-            assert len(got) == sum(1 for _ in enumerate_mat(n, binary=binary))
-
-
 def test_signed_g_1_2_is_six_structures():
     # the full family by the column rule k <= n; the involution needs
     # all six for the signed sum to localize onto the two all-plus
@@ -400,21 +372,14 @@ def test_signed_g_1_2_is_six_structures():
 
 def test_signed_validation_and_gamma():
     for s in enumerate_signed(2, 3):
-        s.validate()
+        assert s.matrix.word == (1, 2, 3) and len(s.signs) == s.matrix.cols
+        assert all(sign == 1 or sign == -1 and s.matrix.column_empty(j) for j, sign in enumerate(s.signs))
         g = gamma(s)
         assert gamma(g) == s
         if leftmost_empty_column(s.matrix) == 0:
             assert g == s
         else:
             assert g.xi == -s.xi and g.matrix == s.matrix
-    with pytest.raises(ValueError):
-        SignedLOMatrix(
-            LinOrderMatrix((((1,),),)), (-1,)
-        ).validate()  # nonempty column signed -1
-    with pytest.raises(ValueError):
-        SignedLOMatrix(LinOrderMatrix((((1,),),)), (1, 1)).validate()
-    with pytest.raises(ValueError):
-        SignedLOMatrix(LinOrderMatrix((((2, 1),),)), (1,)).validate()
 
 
 def test_leftmost_empty_column():
