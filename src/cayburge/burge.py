@@ -27,7 +27,6 @@ Matrix = tuple[tuple[int, ...], ...]
 __all__ = [
     "Matrix",
     "BurgeWord",
-    "is_burge_word",
     "is_burge_matrix",
     "row_sums",
     "column_sums",
@@ -43,17 +42,6 @@ __all__ = [
 class BurgeWord(NamedTuple):
     u: Word
     v: Word
-
-
-def is_burge_word(bw: BurgeWord) -> bool:
-    u, v = bw
-    if len(u) != len(v):
-        return False
-    if not (is_cayley_word(u) and is_cayley_word(v)):
-        return False
-    if any(a > b for a, b in zip(u, u[1:])):
-        return False
-    return descent_mask(u) & ~descent_mask(v) == 0
 
 
 def row_sums(mat: Matrix) -> tuple[int, ...]:
@@ -79,17 +67,32 @@ def is_burge_matrix(mat: Matrix, binary: bool = False) -> bool:
 
 
 def word_to_matrix(bw: BurgeWord) -> Matrix:
-    """Tally matrix of the biword: entry (i, j) counts columns equal to (i, j)."""
+    """Tally matrix of the biword: entry (i, j) counts columns equal to (i, j).
+
+    Checks the Burge conditions in the same pass: u must climb from 1 in
+    steps of 0 or 1 (a weakly increasing Cayley word), and v must not
+    ascend where u stays put (each weak descent of u is one of v).
+    """
     u, v = bw
-    if not is_burge_word(bw):
+    if len(u) != len(v) or not is_cayley_word(v):
         raise ValueError(f"not a Burge word: {bw}")
     if not u:
         return ()
-    r, c = max(u), max(v)
-    grid = [[0] * c for _ in range(r)]
+    width = max(v)
+    rows: list[list[int]] = []
+    top = prev = 0  # u's and v's letters in the previous column
     for a, b in zip(u, v):
-        grid[a - 1][b - 1] += 1
-    return tuple(tuple(row) for row in grid)
+        if a != top:  # u climbs: by exactly one, to open the next row
+            if a != top + 1:
+                raise ValueError(f"not a Burge word: {bw}")
+            top = a
+            row = [0] * width
+            rows.append(row)
+        elif b > prev:  # u stays put, so v must not ascend; refuses a first letter 0
+            raise ValueError(f"not a Burge word: {bw}")
+        row[b - 1] += 1
+        prev = b
+    return tuple(map(tuple, rows))
 
 
 def matrix_to_word(mat: Matrix) -> BurgeWord:

@@ -73,6 +73,9 @@ class LinOrderMatrix:
     its nested entries instead; ``entries[i][j]`` is row i, column j.
     ``layout``, when given, is the layout of ``grid``: the grid was then
     checked already, and only the word length is checked against it.
+    Without one, the grid must be rectangular with no negative length,
+    its lengths adding up to the word's; that the word is a permutation
+    of 1..n is not checked.
 
     Immutable: ``word`` and ``grid`` are read-only, and equality and
     hashing read only them.  The slots hold them, the layout (derived
@@ -103,6 +106,8 @@ class LinOrderMatrix:
                 entries = self._entries = self._word
                 self._grid = tuple([tuple(map(len, row)) for row in entries])
                 self._word = tuple(chain.from_iterable(chain.from_iterable(zip(*entries))))
+            if min(chain.from_iterable(self._grid), default=0) < 0:
+                raise ValueError("negative entry length")
             if len(set(map(len, self._grid))) > 1:
                 raise ValueError("ragged matrix")
         size = sum(map(sum, self._grid)) if layout is None else layout.size
@@ -266,8 +271,6 @@ def from_length_grid(grid: Sequence[Sequence[int]]) -> LinOrderMatrix:
     result satisfies prod(M) = 12..n.
     """
     grid = tuple(map(tuple, grid))
-    if min(chain.from_iterable(grid), default=0) < 0:
-        raise ValueError("negative entry length")
     return LinOrderMatrix(tuple(range(1, sum(map(sum, grid)) + 1)), grid)
 
 
@@ -434,19 +437,37 @@ def enumerate_lomat_direct(m: int, n: int) -> Iterator[LinOrderMatrix]:
 # signed structures
 
 
-@dataclass(frozen=True, slots=True)
 class SignedLOMatrix:
     """Normalized matrix, possibly with empty columns, plus column signs.
 
     Nonempty columns must carry +1; empty columns may carry either sign.
+    Immutable, as ``LinOrderMatrix`` is: ``matrix`` and ``signs`` are
+    read-only, and equality and hashing read only them.
     """
 
-    matrix: LinOrderMatrix
-    signs: tuple[int, ...]
+    __slots__ = ("_matrix", "_signs")
+
+    matrix = property(attrgetter("_matrix"))
+    signs = property(attrgetter("_signs"))
+
+    def __init__(self, matrix: LinOrderMatrix, signs: tuple[int, ...]):
+        self._matrix = matrix
+        self._signs = signs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._matrix == other._matrix and self._signs == other._signs
+
+    def __hash__(self):
+        return hash((self._matrix, self._signs))
+
+    def __repr__(self):
+        return f"SignedLOMatrix(matrix={self._matrix!r}, signs={self._signs!r})"
 
     @property
     def xi(self) -> int:
-        return -1 if self.signs.count(-1) % 2 else 1
+        return -1 if self._signs.count(-1) % 2 else 1
 
 
 def leftmost_empty_column(m: LinOrderMatrix) -> int:

@@ -58,35 +58,36 @@ def enumerate_cayley(n: int) -> Iterator[Word]:
     The prefix word[:i] is summarised by top[i], its largest value, and
     missing[i], a bitmask with bit v - 1 set for each v < top[i] absent
     from it.  A prefix is feasible when its missing values fit in the
-    positions left.  Each round yields every feasible last letter of the
-    current prefix of length n - 1 (its one missing value, or 1..top + 1
-    when nothing is missing), then raises the rightmost position that
-    can take a larger feasible value and refills the positions after it
-    with their smallest completion: 1 while there is slack, else the
-    smallest missing value.
+    positions left.  Each round yields the current prefix of length
+    n - 2 followed by each of its two-letter tails, which depend only on
+    the prefix's (top, missing) and are tabled once per pair; then it
+    raises the rightmost position that can take a larger feasible value
+    and refills the positions after it with their smallest completion:
+    1 while there is slack, else the smallest missing value.
     """
     if n < 0:
         raise ValueError("enumerate_cayley needs n >= 0")
-    if n == 0:
-        yield ()
+    if n < 2:  # () and (1,)
+        yield (1,) * n
         return
-    last = n - 1
+    last = n - 2
     word = [1] * last
     top = [0] + [1] * last
-    missing = [0] * n
+    missing = [0] * (last + 1)
+    tails: dict[tuple[int, int], list[Word]] = {}
     while True:
         prefix = tuple(word)
-        m = missing[last]
-        if m:  # exactly one value is missing, and the last letter is it
-            yield prefix + (m.bit_length(),)
-        else:
-            for v in range(1, top[last] + 2):
-                yield prefix + (v,)
-        # the rightmost position i < n - 1 whose value can grow, and its next value
+        key = top[last], missing[last]
+        ends = tails.get(key)
+        if ends is None:
+            ends = tails[key] = _two_letter_tails(*key)
+        for end in ends:
+            yield prefix + end
+        # the rightmost position i < n - 2 whose value can grow, and its next value
         i = last - 1
         while i >= 0:
             v, t, m = word[i], top[i], missing[i]
-            slots, count = last - i, m.bit_count()  # positions after i, values to place
+            slots, count = n - 1 - i, m.bit_count()  # positions after i, values to place
             if count > slots:  # no slack: only a missing value above v fits
                 higher = m >> v
                 if higher:
@@ -98,7 +99,7 @@ def enumerate_cayley(n: int) -> Iterator[Word]:
             i -= 1
         else:
             return
-        # place v at i, then the smallest completion of word[:i + 1] up to n - 1
+        # place v at i, then the smallest completion of word[:i + 1] up to n - 2
         while True:
             word[i] = v
             t, m = top[i], missing[i]
@@ -111,6 +112,19 @@ def enumerate_cayley(n: int) -> Iterator[Word]:
                 break
             m = missing[i]
             v = 1 if m.bit_count() < n - i else (m & -m).bit_length()
+
+
+def _two_letter_tails(top: int, missing: int) -> list[Word]:
+    """The pairs (a, b), lexicographically, that complete a prefix with
+    largest value top and missing-value bitmask missing to a Cayley word."""
+    present = {v for v in range(1, top + 1) if not missing >> (v - 1) & 1}
+    letters = range(1, top + 3)
+    return [
+        (a, b)
+        for a in letters
+        for b in letters
+        if max(top, a, b) == len(present | {a, b})
+    ]
 
 
 def enumerate_linear_orders(n: int) -> Iterator[Word]:
@@ -146,7 +160,12 @@ def ballot_to_cayley(blocks: Ballot) -> Word:
 def enumerate_ballots(n: int) -> Iterator[Ballot]:
     """Ballots of {1..n}, ordered by their Cayley permutations."""
     for w in enumerate_cayley(n):
-        yield cayley_to_ballot(w)
+        blocks: list[list[int]] = [[] for _ in range(max(w, default=0))]
+        for i, v in enumerate(w, start=1):
+            blocks[v - 1].append(i)
+        if not all(blocks):
+            raise ValueError(f"ballot of {w} has an empty block")
+        yield tuple(map(frozenset, blocks))
 
 
 def descent_mask(w: Word, strict: bool = False) -> int:

@@ -12,13 +12,12 @@ from cayburge.burge import (
     enumerate_mat,
     enumerate_weakly_increasing,
     is_burge_matrix,
-    is_burge_word,
     matrix_to_word,
     row_sums,
     two_sided_brute,
     word_to_matrix,
 )
-from cayburge.words import AscentSetSpec, descent_mask
+from cayburge.words import AscentSetSpec, descent_mask, is_cayley_word
 
 # |Mat[n]| and |BMat[n]| anchors from shape-wise inclusion-exclusion
 # (see tools/make_fixtures.py for the independent derivation)
@@ -39,18 +38,9 @@ def test_worked_biword_roundtrip():
     v = (3, 3, 1, 3, 4, 2, 2, 2, 2)
     m = ((1, 0, 2, 0), (0, 0, 1, 0), (0, 4, 0, 1))
     bw = BurgeWord(u, v)
-    assert is_burge_word(bw)
     assert word_to_matrix(bw) == m
     assert matrix_to_word(m) == bw
     assert len(bw.u) == 9 == sum(map(sum, m))
-
-
-def test_is_burge_word():
-    assert is_burge_word(BurgeWord((1, 2), (1, 1)))
-    assert not is_burge_word(BurgeWord((1, 1), (1, 2)))
-    # u must be weakly increasing and both words Cayley
-    assert not is_burge_word(BurgeWord((2, 1), (1, 2)))
-    assert not is_burge_word(BurgeWord((1, 3), (1, 1)))
 
 
 def test_is_burge_matrix():
@@ -134,8 +124,77 @@ def test_descents_transfer_to_matrix_shape():
 
 
 def test_word_to_matrix_rejects_non_burge():
-    with pytest.raises(ValueError):
-        word_to_matrix(BurgeWord((1, 1), (1, 2)))
+    assert word_to_matrix(BurgeWord((1, 2), (1, 1))) == ((1,), (1,))
+    for bw in (
+        BurgeWord((1, 1), (1, 2)),  # v ascends where u stays put
+        BurgeWord((2, 1), (1, 2)),  # u is not weakly increasing
+        BurgeWord((1, 3), (1, 1)),  # u is not a Cayley word
+    ):
+        with pytest.raises(ValueError, match="^not a Burge word: "):
+            word_to_matrix(bw)
+
+
+def _is_burge_word(bw):
+    """The definition: u weakly increasing, u and v Cayley words of one
+    length, and every weak descent of u a weak descent of v."""
+    u, v = bw
+    if len(u) != len(v):
+        return False
+    if not (is_cayley_word(u) and is_cayley_word(v)):
+        return False
+    if any(a > b for a, b in zip(u, u[1:])):
+        return False
+    return descent_mask(u) & ~descent_mask(v) == 0
+
+
+def _tally(bw):
+    grid = [[0] * max(bw.v, default=0) for _ in range(max(bw.u, default=0))]
+    for a, b in zip(*bw):
+        grid[a - 1][b - 1] += 1
+    return tuple(map(tuple, grid))
+
+
+def _biword_grid():
+    """Pairs of words, each of length n <= 4 with letters in -1..n+1.
+
+    Every pair of words of length <= 3, unequal lengths included.  Of
+    the 5.8 million pairs at length 4, those in which u or v passes its
+    own half of the definition: every u against each Cayley v, and each
+    weakly increasing Cayley u against every other v; plus each Cayley
+    word of length 4 against every shorter word, on either side.
+    """
+
+    def words(n):
+        return list(itertools.product(range(-1, n + 2), repeat=n))
+
+    short = [w for n in range(4) for w in words(n)]
+    four = words(4)
+    cayley = [w for w in four if is_cayley_word(w)]
+    increasing = [w for w in cayley if list(w) == sorted(w)]
+    others = [w for w in four if not is_cayley_word(w)]
+    return itertools.chain(
+        itertools.product(short, short),
+        itertools.product(four, cayley),
+        itertools.product(increasing, others),
+        itertools.product(cayley, short),
+        itertools.product(short, cayley),
+    )
+
+
+def test_word_to_matrix_matches_the_burge_word_definition():
+    accepted = 0
+    for u, v in _biword_grid():
+        bw = BurgeWord(u, v)
+        if _is_burge_word(bw):
+            accepted += 1
+            assert word_to_matrix(bw) == _tally(bw), bw
+        else:
+            try:
+                word_to_matrix(bw)
+            except ValueError:
+                continue
+            raise AssertionError(f"accepted {bw}")
+    assert accepted == sum(MAT[:5])
 
 
 def test_enumerate_mat_row_filter():

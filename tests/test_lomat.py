@@ -9,6 +9,7 @@ from cayburge.burge import enumerate_mat
 from cayburge.lomat import (
     AtomBallot,
     LinOrderMatrix,
+    SignedLOMatrix,
     act,
     atom_count,
     atoms,
@@ -297,6 +298,8 @@ def test_constructor_checks_the_grid():
         LinOrderMatrix((1, 2, 3), base.grid, act((2, 1), base)._layout)
     with pytest.raises(ValueError, match="^negative entry length$"):
         from_length_grid(((2, -1),))
+    with pytest.raises(ValueError, match="^negative entry length$"):
+        LinOrderMatrix((1,), ((2, -1),))
 
 
 def test_enumerate_genmat_2_2():
@@ -380,6 +383,22 @@ def test_signed_validation_and_gamma():
             assert g == s
         else:
             assert g.xi == -s.xi and g.matrix == s.matrix
+
+
+def test_signed_structures_are_immutable_values():
+    base, other = from_length_grid(((1, 0),)), from_length_grid(((0, 1),))
+    sm = SignedLOMatrix(base, (1, -1))
+    for name, value in (("matrix", other), ("signs", (1, 1)), ("xi", 1), ("size", 1)):
+        with pytest.raises(AttributeError):
+            setattr(sm, name, value)
+    assert sm.matrix is base and sm.signs == (1, -1)
+    twin = SignedLOMatrix(from_length_grid(((1, 0),)), (1, -1))
+    assert sm == twin and hash(sm) == hash(twin) == hash((base, (1, -1)))
+    assert sm != SignedLOMatrix(base, (1, 1)) and sm != SignedLOMatrix(other, (1, -1))
+    assert sm != (base, (1, -1))
+    assert repr(sm) == f"SignedLOMatrix(matrix={base!r}, signs=(1, -1))"
+    family = list(enumerate_signed(2, 3))  # gamma(gamma(x)) == x: test_signed_validation_and_gamma
+    assert len(set(family)) == len(family)
 
 
 def test_leftmost_empty_column():

@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from cayburge import words as words_module
 from cayburge.kernel import IntPoly
 from cayburge.words import (
     AscentSetSpec,
@@ -137,6 +138,17 @@ def test_enumerate_ballots():
     ]
     for n in range(6):
         assert sum(1 for _ in enumerate_ballots(n)) == FUBINI[n]
+
+
+def test_enumerate_ballots_matches_the_converted_cayley_words():
+    for n in range(7):
+        assert list(enumerate_ballots(n)) == list(map(cayley_to_ballot, enumerate_cayley(n)))
+
+
+def test_enumerate_ballots_refuses_an_empty_block(monkeypatch):
+    monkeypatch.setattr(words_module, "enumerate_cayley", lambda n: iter([(1, 3)]))
+    with pytest.raises(ValueError, match="empty block"):
+        next(enumerate_ballots(2))
 
 
 def _descent_set(w, strict=False):
