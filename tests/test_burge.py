@@ -123,15 +123,22 @@ def test_descents_transfer_to_matrix_shape():
         assert descent_mask(bw.u) & ~descent_mask(bw.v) == 0
 
 
-def test_word_to_matrix_rejects_non_burge():
+def test_is_burge_word():
+    # word_to_matrix accepts exactly the Burge words
     assert word_to_matrix(BurgeWord((1, 2), (1, 1))) == ((1,), (1,))
+    # u must be weakly increasing and both words Cayley
     for bw in (
-        BurgeWord((1, 1), (1, 2)),  # v ascends where u stays put
-        BurgeWord((2, 1), (1, 2)),  # u is not weakly increasing
-        BurgeWord((1, 3), (1, 1)),  # u is not a Cayley word
+        BurgeWord((2, 1), (1, 2)),
+        BurgeWord((1, 3), (1, 1)),
     ):
         with pytest.raises(ValueError, match="^not a Burge word: "):
             word_to_matrix(bw)
+
+
+def test_word_to_matrix_rejects_non_burge():
+    # v ascends where u stays put
+    with pytest.raises(ValueError, match="^not a Burge word: "):
+        word_to_matrix(BurgeWord((1, 1), (1, 2)))
 
 
 def _is_burge_word(bw):
