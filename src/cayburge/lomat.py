@@ -437,37 +437,19 @@ def enumerate_lomat_direct(m: int, n: int) -> Iterator[LinOrderMatrix]:
 # signed structures
 
 
+@dataclass(frozen=True, slots=True)
 class SignedLOMatrix:
     """Normalized matrix, possibly with empty columns, plus column signs.
 
     Nonempty columns must carry +1; empty columns may carry either sign.
-    Immutable, as ``LinOrderMatrix`` is: ``matrix`` and ``signs`` are
-    read-only, and equality and hashing read only them.
     """
 
-    __slots__ = ("_matrix", "_signs")
-
-    matrix = property(attrgetter("_matrix"))
-    signs = property(attrgetter("_signs"))
-
-    def __init__(self, matrix: LinOrderMatrix, signs: tuple[int, ...]):
-        self._matrix = matrix
-        self._signs = signs
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._matrix == other._matrix and self._signs == other._signs
-
-    def __hash__(self):
-        return hash((self._matrix, self._signs))
-
-    def __repr__(self):
-        return f"SignedLOMatrix(matrix={self._matrix!r}, signs={self._signs!r})"
+    matrix: LinOrderMatrix
+    signs: tuple[int, ...]
 
     @property
     def xi(self) -> int:
-        return -1 if self._signs.count(-1) % 2 else 1
+        return -1 if self.signs.count(-1) % 2 else 1
 
 
 def leftmost_empty_column(m: LinOrderMatrix) -> int:

@@ -133,13 +133,18 @@ def enumerate_linear_orders(n: int) -> Iterator[Word]:
 
 
 def cayley_to_ballot(w: Word) -> Ballot:
-    if not is_cayley_word(w):
+    """Block v holds the positions i with w(i) = v; a letter below 1 or a
+    value of 1..max(w) that w skips (an empty block) is refused."""
+    if not w:
+        return ()
+    if min(w) < 1:
         raise ValueError(f"not a Cayley permutation: {w}")
-    k = max(w) if w else 0
-    blocks: list[set[int]] = [set() for _ in range(k)]
+    blocks: list[list[int]] = [[] for _ in range(max(w))]
     for i, v in enumerate(w, start=1):
-        blocks[v - 1].add(i)
-    return tuple(frozenset(b) for b in blocks)
+        blocks[v - 1].append(i)
+    if not all(blocks):
+        raise ValueError(f"not a Cayley permutation: {w} gives an empty block")
+    return tuple(map(frozenset, blocks))
 
 
 def ballot_to_cayley(blocks: Ballot) -> Word:
@@ -160,12 +165,7 @@ def ballot_to_cayley(blocks: Ballot) -> Word:
 def enumerate_ballots(n: int) -> Iterator[Ballot]:
     """Ballots of {1..n}, ordered by their Cayley permutations."""
     for w in enumerate_cayley(n):
-        blocks: list[list[int]] = [[] for _ in range(max(w, default=0))]
-        for i, v in enumerate(w, start=1):
-            blocks[v - 1].append(i)
-        if not all(blocks):
-            raise ValueError(f"ballot of {w} has an empty block")
-        yield tuple(map(frozenset, blocks))
+        yield cayley_to_ballot(w)
 
 
 def descent_mask(w: Word, strict: bool = False) -> int:

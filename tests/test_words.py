@@ -140,6 +140,18 @@ def test_enumerate_ballots():
         assert sum(1 for _ in enumerate_ballots(n)) == FUBINI[n]
 
 
+def test_cayley_to_ballot_refuses_a_letter_below_one():
+    for w in [(0,), (-1,), (1, 0), (0, 1, 2), (2, 1, -1)]:
+        with pytest.raises(ValueError, match="not a Cayley permutation"):
+            cayley_to_ballot(w)
+
+
+def test_cayley_to_ballot_refuses_an_empty_block():
+    for w in [(2,), (1, 3), (3, 1, 3), (1, 1, 4, 2)]:
+        with pytest.raises(ValueError, match="empty block"):
+            cayley_to_ballot(w)
+
+
 def test_enumerate_ballots_matches_the_converted_cayley_words():
     for n in range(7):
         assert list(enumerate_ballots(n)) == list(map(cayley_to_ballot, enumerate_cayley(n)))
