@@ -31,7 +31,7 @@ import os
 import sys
 from fractions import Fraction
 from importlib import resources
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
 
@@ -68,11 +68,9 @@ def _render_lomat(m) -> str:
     """The rows of m; "." marks an empty entry."""
     word, height = m.word, m.rows
     if max(word, default=0) <= 9:  # each entry is a slice of the word rendered once
-        text = bytes(word).translate(_DIGITS).decode()
-        lengths = list(chain.from_iterable(zip(*m.grid)))  # column by column, as the word reads
-        cells = [text[end - k : end] or "." for k, end in zip(lengths, accumulate(lengths))]
+        cells = [e or "." for e in lomat._cells(m, bytes(word).translate(_DIGITS).decode())]
     else:  # letters of two digits or more are space-separated within an entry
-        cells = [_render_word(e) if e else "." for e in lomat._cells(m)]
+        cells = [_render_word(e) if e else "." for e in lomat._cells(m, word)]
     return "[" + "; ".join([" ".join(cells[i::height]) for i in range(height)]) + "]"
 
 
@@ -560,8 +558,10 @@ def _cmd_oeis(args) -> int:
         return _fail(f"malformed b-file: {exc}", 2)
     max_index = last_index(bound)
     compared = [(idx, expected) for idx, expected in entries if idx <= max_index]
+    if not compared:
+        return _fail(f"{args.sequence}: the b-file has no index in {first}..{max_index}", 2)
     # the terms reach only as far as the b-file does
-    terms = terms_through(compared[-1][0] if compared else first - 1)
+    terms = terms_through(compared[-1][0])
     for idx, expected in compared:
         if idx < first:
             return _fail(f"{args.sequence} index {idx} is below its first index {first}", 2)

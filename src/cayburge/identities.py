@@ -836,57 +836,54 @@ def check_beta(max_n: int) -> list[CheckResult]:
     ]
 
 
-def pairing_check(max_n: int, max_m: int) -> CheckResult:
+def pairing_check(max_n: int, max_m: int) -> list[CheckResult]:
     """Match the two descent series against the two count families.
 
     For each n the series t C_n(t)/(1-t)^(n+1) (weak and strict) are
     expanded through t^max_m and compared cellwise against the general
     and binary m-row counts.  The check passes when at least one of the
-    two possible pairings is consistent over the whole grid; the result
-    records which, plus the as-written pairing's failures (the
-    as-written text pairs weak with general).
+    two possible pairings holds on every cell, so that no cell fails
+    both; its one result records which, plus the as-written pairing's
+    failures (the as-written text pairs weak with general).
     """
-    printed_cells = []
-    ok_swapped = True
-    witness = None
-    cell22 = None
+    cells = {}
     for n in range(max_n + 1):
         weak = carlitz_series(n, strict=False, order=max_m)
         strict = carlitz_series(n, strict=True, order=max_m)
         for m in range(1, max_m + 1):
-            general, binary = count_genmat(m, n), count_genmat(m, n, binary=True)
-            cell = {
+            cells[n, m] = {
                 "series": {"weak": weak[m], "strict": strict[m]},
-                "counts": {"general": general, "binary": binary},
+                "counts": {"general": count_genmat(m, n), "binary": count_genmat(m, n, binary=True)},
             }
-            p_ok = weak[m] == general and strict[m] == binary
-            s_ok = weak[m] == binary and strict[m] == general
-            if (n, m) == (2, 2):
-                cell22 = cell
-            printed_cells.append([n, m, p_ok])
-            ok_swapped = ok_swapped and s_ok
-            if not p_ok and not s_ok and witness is None:
-                witness = {"n": n, "m": m, **cell}
-    printed_failures = sum(1 for *_, p_ok in printed_cells if not p_ok)
+    # each pairing: the count it matches with each series
     pairings = {
-        "weak-general/strict-binary": printed_failures == 0,
-        "weak-binary/strict-general": ok_swapped,
+        "weak-general/strict-binary": {"weak": "general", "strict": "binary"},
+        "weak-binary/strict-general": {"weak": "binary", "strict": "general"},
     }
-    consistent = [pairing for pairing, ok in pairings.items() if ok]
-    if len(consistent) == 1:
-        determined = consistent[0]
-    elif consistent:
+    holds = {
+        pairing: {
+            key: all(cell["series"][s] == cell["counts"][c] for s, c in match.items())
+            for key, cell in cells.items()
+        }
+        for pairing, match in pairings.items()
+    }
+    as_written = holds["weak-general/strict-binary"]
+    consistent = [pairing for pairing, ok in holds.items() if all(ok.values())]
+    if len(consistent) == 2:
         determined = "undetermined (grid too small to separate)"
     else:
-        determined = "none"
+        determined = consistent[0] if consistent else "none"
+    witness = next(
+        ({"n": n, "m": m, **cells[n, m]} for n, m in cells if not any(ok[n, m] for ok in holds.values())),
+        None,
+    )
     detail = (
         f"consistent pairing: {determined}; "
-        f"as-written pairing fails in {printed_failures} cells"
+        f"as-written pairing fails in {list(as_written.values()).count(False)} cells"
     )
-    status = "fail" if witness is not None or not consistent else "pass"
-    params = {"max_n": max_n, "max_m": max_m, "cell_2_2": cell22, "consistent": consistent}
-    params["as_printed_cells"] = printed_cells
-    return CheckResult("carlitz-pairing", params, status, witness=witness, detail=detail)
+    params = {"max_n": max_n, "max_m": max_m, "cell_2_2": cells.get((2, 2)), "consistent": consistent}
+    params["as_printed_cells"] = [[n, m, ok] for (n, m), ok in as_written.items()]
+    return [CheckResult("carlitz-pairing", params, "pass" if consistent else "fail", witness, detail)]
 
 
 def check_ogf_coefficients(max_n: int, max_m: int) -> list[CheckResult]:
@@ -1082,6 +1079,5 @@ def run_suite(
                 args.append(min(max_m, m_cap))
             if check in _TAIL_BOUNDED:
                 args.append(tail_bound)
-            results = globals()[check](*args)
-            out += [results] if isinstance(results, CheckResult) else results
+            out += globals()[check](*args)
     return out

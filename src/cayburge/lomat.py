@@ -78,11 +78,12 @@ class LinOrderMatrix:
     of 1..n is not checked.
 
     Immutable: ``word`` and ``grid`` are read-only, and equality and
-    hashing read only them.  The slots hold them, the layout (derived
-    on first use when not given) and the entries (cut on first use).
+    hashing read only them.  The slots hold them and the layout (derived
+    on first use when not given); ``entries`` is cut from the word on
+    each read.
     """
 
-    __slots__ = ("_word", "_grid", "_layout", "_entries")
+    __slots__ = ("_word", "_grid", "_layout")
 
     word = property(attrgetter("_word"))
     grid = property(attrgetter("_grid"))
@@ -96,14 +97,13 @@ class LinOrderMatrix:
         self._word = word
         self._grid = grid
         self._layout = layout
-        self._entries = None
         self.__post_init__()
 
     def __post_init__(self):
         layout = self._layout
         if layout is None:  # a grid with a layout was checked when the layout was derived
             if self._grid is None:  # the one argument was the nested entries
-                entries = self._entries = self._word
+                entries = self._word
                 self._grid = tuple([tuple(map(len, row)) for row in entries])
                 self._word = tuple(chain.from_iterable(chain.from_iterable(zip(*entries))))
             if min(chain.from_iterable(self._grid), default=0) < 0:
@@ -127,10 +127,8 @@ class LinOrderMatrix:
 
     @property
     def entries(self) -> tuple[tuple[Word, ...], ...]:
-        if self._entries is None:
-            cells, rows = _cells(self), self.rows
-            self._entries = tuple(tuple(cells[i::rows]) for i in range(rows))
-        return self._entries
+        cells, rows = _cells(self, self._word), self.rows
+        return tuple(tuple(cells[i::rows]) for i in range(rows))
 
     @property
     def rows(self) -> int:
@@ -184,11 +182,12 @@ def _layout(m: LinOrderMatrix) -> _Layout:
     return m._layout
 
 
-def _cells(m: LinOrderMatrix) -> list[Word]:
-    """The entries in prod order, cut from m.word; entry (i, j) is at
-    index j * m.rows + i."""
-    word, lengths = m._word, list(chain.from_iterable(zip(*m._grid)))
-    return [word[end - k : end] for k, end in zip(lengths, accumulate(lengths))]
+def _cells(m: LinOrderMatrix, seq: Sequence) -> list[Sequence]:
+    """The entries in prod order, cut from seq: m.word, or any sequence
+    holding one item per letter of it; entry (i, j) is at index
+    j * m.rows + i."""
+    lengths = list(chain.from_iterable(zip(*m._grid)))
+    return [seq[end - k : end] for k, end in zip(lengths, accumulate(lengths))]
 
 
 def prod(m: LinOrderMatrix) -> Word:
@@ -228,7 +227,7 @@ def split_atoms(word: Word) -> list[Word]:
 
 def atoms(m: LinOrderMatrix) -> list[Word]:
     """All atoms of all entries, in prod order."""
-    return [a for e in _cells(m) for a in split_atoms(e)]
+    return [a for e in _cells(m, m._word) for a in split_atoms(e)]
 
 
 def atom_count(m: LinOrderMatrix) -> int:

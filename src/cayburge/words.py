@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 from .kernel import IntPoly
@@ -248,8 +249,6 @@ def beta_perm_determinant(spec: AscentSetSpec) -> int:
     integrality check.  Summing over the subsets of S recovers the
     multinomial alpha_count(S).
     """
-    from fractions import Fraction
-
     s = (0,) + spec.positions + (spec.n,)
     r1 = len(s) - 1
     mat = [
@@ -261,12 +260,7 @@ def beta_perm_determinant(spec: AscentSetSpec) -> int:
     ]
     det = Fraction(1)
     for col in range(r1):
-        pivot_row = next((row for row in range(col, r1) if mat[row][col]), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-            det = -det
+        # no pivot is 0: leading minor k times s_k! counts the permutations of [s_k] with one ascent set
         pivot = mat[col][col]
         det *= pivot
         for row in range(col + 1, r1):

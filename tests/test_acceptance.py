@@ -274,7 +274,7 @@ def test_criterion_09_pairing_determination():
     no witness, per-cell record of the as-written pairing, and the (2,2)
     cell showing series values {5, 7} against counts {7, 5}."""
     failures = []
-    pc = identities.pairing_check(6, 8)
+    [pc] = identities.pairing_check(6, 8)
     if pc.status != "pass":
         failures.append(("status", pc.status, pc.witness))
     if pc.params.get("consistent") != ["weak-binary/strict-general"]:

@@ -643,6 +643,22 @@ def test_oeis_index_below_the_first_rejected(tmp_path, capsys, sequence, first):
     assert f"{sequence} index {first - 1} is below its first index {first}" in err
 
 
+@pytest.mark.parametrize(
+    "sequence, text, flags, span",
+    [
+        ("A000670", "", [], "0..12"),
+        ("A000670", "# a comment and nothing else\n\n", [], "0..12"),
+        ("A366173", "7 4683\n", ["--max-n", "3"], "1..6"),
+    ],
+)
+def test_oeis_bfile_with_no_index_in_range_compares_nothing(tmp_path, capsys, sequence, text, flags, span):
+    bfile = tmp_path / "b.txt"
+    bfile.write_text(text)
+    code, out, err = run_cli(capsys, "oeis", sequence, "--b-file", str(bfile), *flags)
+    assert (code, out) == (2, "")
+    assert f"{sequence}: the b-file has no index in {span}" in err
+
+
 def test_oeis_bfile_not_utf8_is_malformed(tmp_path, capsys):
     bad = tmp_path / "b.txt"
     bad.write_bytes(b"\xff\xfe0 1\n")

@@ -174,7 +174,7 @@ def test_carlitz_series_matches_swapped_counts():
 
 
 def test_pairing_check_result():
-    pc = pairing_check(5, 6)
+    [pc] = pairing_check(5, 6)
     assert pc.status == "pass"
     assert pc.params["consistent"] == ["weak-binary/strict-general"]
     assert pc.witness is None
@@ -187,6 +187,42 @@ def test_pairing_check_result():
     # the as-written pairing fails somewhere but not everywhere
     flags = {c[2] for c in cells}
     assert flags == {True, False}
+
+
+@pytest.mark.parametrize("max_n, max_m", [(1, 8), (8, 0)])
+def test_pairing_check_grid_too_small_to_separate(max_n, max_m):
+    # n <= 1 holds no cell where the pairings differ; m = 0 holds no cell
+    [pc] = pairing_check(max_n, max_m)
+    assert (pc.status, pc.witness) == ("pass", None)
+    assert pc.params["consistent"] == ["weak-general/strict-binary", "weak-binary/strict-general"]
+    assert pc.detail == (
+        "consistent pairing: undetermined (grid too small to separate); "
+        "as-written pairing fails in 0 cells"
+    )
+    assert len(pc.params["as_printed_cells"]) == (max_n + 1) * max_m
+
+
+@pytest.mark.parametrize(
+    "perturb, witness, as_written_failures",
+    [
+        (lambda real: lambda m, n, binary=False: real(m, n, binary) + ((m, n, binary) == (2, 2, False)),
+         {"n": 2, "m": 2, "series": {"weak": 5, "strict": 7}, "counts": {"general": 8, "binary": 5}}, 6),
+        # the two counts swapped at (2, 2): the as-written pairing holds
+        # there and the other fails, while the as-written one still fails
+        # at (2, 1), so no cell fails both
+        (lambda real: lambda m, n, binary=False: real(m, n, binary != ((m, n) == (2, 2))), None, 5),
+    ],
+    ids=["general-one-more-at-2-2", "counts-swapped-at-2-2"],
+)
+def test_pairing_check_fails_with_no_consistent_pairing(
+    monkeypatch, perturb, witness, as_written_failures
+):
+    monkeypatch.setattr(identities, "count_genmat", perturb(identities.count_genmat))
+    [pc] = pairing_check(3, 3)
+    assert (pc.status, pc.params["consistent"], pc.witness) == ("fail", [], witness)
+    assert pc.detail == (
+        f"consistent pairing: none; as-written pairing fails in {as_written_failures} cells"
+    )
 
 
 def test_genmat_ogf_coefficients():

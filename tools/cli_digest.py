@@ -11,18 +11,21 @@ can be checked against its parent:
     python3 tools/cli_digest.py --src /tmp/parent/src
     python3 tools/cli_digest.py
 
-The set covers the verify suites (one unconverged), every closed-form
-count method, both certified sums, both polynomial formulas past the
-formula cap, the ten enumerate commands of the benchmark's
-enumerate-stream workload, two genmat commands at size 10 (the only ones
-whose entries hold a letter of two digits), every enumerable object in
-text, json and csv at sizes 0-2 (each --binary variant too), argparse's
-own failures (an unknown subcommand, a bad choice, a bad integer) and
---help, one refused flag, three refused --ascents values (unparsable,
-out of range, and a rows mismatch), `oeis` on each sequence against its
-bundled b-file (the default bound, every --max-n up to the cap and one
-past it, in text, json and csv), and the same parse errors again after
-valid commands, so that a parser reused across calls shows.  Help and
+The set covers the verify suites (one unconverged), the pairing check on
+grids too small to tell its two pairings apart, every closed-form count
+method, both certified sums, both polynomial formulas past the formula
+cap, both brute-force polynomials up to the enumeration cap, every count
+method and both polynomial methods in json and csv, the ten enumerate
+commands of the benchmark's enumerate-stream workload, two genmat
+commands at size 10 (the only ones whose entries hold a letter of two
+digits), every enumerable object in text, json and csv at sizes 0-2
+(each --binary variant too), argparse's own failures (an unknown
+subcommand, a bad choice, a bad integer) and --help, one refused flag,
+three refused --ascents values (unparsable, out of range, and a rows
+mismatch), `oeis` on each sequence against its bundled b-file (the
+default bound, every --max-n up to the cap and one past it, in text,
+json and csv), and the same parse errors again after valid commands, so
+that a parser reused across calls shows.  Help and
 usage text wrap at COLUMNS, which is fixed at 80 here; argparse's
 wording can differ between Python versions, so compare digests made by
 the same interpreter.  It takes under a minute on one core.  Standard
@@ -38,8 +41,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# the CLI's formula cap, fixed here so that every checkout runs the same argv
-FORMULA_BOUND = 12
+# the CLI's enumeration and formula caps, fixed here so that every
+# checkout runs the same argv
+ENUM_BOUND, FORMULA_BOUND = 7, 12
 
 
 def _sized(argv: list[str], size: int) -> list[str]:
@@ -53,6 +57,10 @@ def commands() -> list[list[str]]:
         *(["verify", suite, "--max-n", "8", "--max-m", "8"] for suite in ("formulas", "gf", "pairing")),
         ["verify", "gf", "--max-n", "3", "--tail-bound", f"1/{2**9000}"],
     ]
+    # grids on which no cell tells the two pairings apart
+    for bound in (["--max-n", "1"], ["--max-m", "0"]):
+        for fmt in ("text", "json"):
+            out.append(["verify", "pairing", *bound, "--format", fmt])
     for method in ("compositions", "stirling", "inclexcl", "ogf-coefficient"):
         for m in range(7):
             for n in range(16):
@@ -67,6 +75,21 @@ def commands() -> list[list[str]]:
         for n in range(21):
             for variant in ([], ["--strict"]):
                 out.append(_sized(["poly", obj, "--n", str(n)] + variant, n))
+        for n in range(ENUM_BOUND + 1):
+            for variant in ([], ["--strict"]):
+                out.append(["poly", obj, "--n", str(n), "--method", "brute"] + variant)
+    # the count and poly records in json and csv
+    for fmt in ("json", "csv"):
+        for variant in ([], ["--binary"]):
+            for method in ("compositions", "stirling", "inclexcl", "ogf-coefficient", "enumerate"):
+                argv = ["count", "genmat", "--rows", "2", "--size", "3", "--method", method]
+                out.append(argv + ["--format", fmt] + variant)
+            for method in ("stirling", "enumerate", "double-sum"):
+                out.append(["count", "mat", "--n", "4", "--method", method, "--format", fmt] + variant)
+        for obj in ("caylerian", "two-sided"):
+            for method in ("formula", "brute"):
+                for variant in ([], ["--strict"]):
+                    out.append(["poly", obj, "--n", "3", "--method", method, "--format", fmt] + variant)
     out += [
         ["enumerate", "cayley", "--n", "8", "--unsafe-bounds"],
         ["enumerate", "ballot", "--n", "7"],
