@@ -317,13 +317,11 @@ def halving_sum(
         rho = Fraction(crude(trunc + 1), 2 * crude(trunc))
         if rho >= 1:
             return None
-        return Fraction(crude(trunc + 1), 2 ** (trunc + 2)) / (1 - rho)
+        return Fraction(crude(trunc + 1), 1 << (trunc + 2)) / (1 - rho)
 
     trunc, tail = _certify(f"halving sum for n={n}", tail_at, 2 * n + 8, tail_bound)
-    num = sum(
-        count_genmat(m, n, binary=binary) * 2 ** (trunc - m) for m in range(trunc + 1)
-    )
-    return Fraction(num, 2 ** (trunc + 1)), tail
+    num = sum(count_genmat(m, n, binary=binary) << (trunc - m) for m in range(trunc + 1))
+    return Fraction(num, 1 << (trunc + 1)), tail
 
 
 def halving_sum_exact(n: int, binary: bool = False) -> int:
@@ -352,18 +350,20 @@ def double_sum_mat(
         rho = Fraction((trunc + n + 2) ** n, 2 * (trunc + n + 1) ** n)
         if rho >= 1:
             return None
-        tail_f = Fraction((trunc + 1 + n) ** n, 2 ** (trunc + 1)) / (1 - rho)
-        s_all = sum(Fraction((r + n) ** n, 2**r) for r in range(trunc + 1)) + tail_f
+        tail_f = Fraction((trunc + 1 + n) ** n, 1 << (trunc + 1)) / (1 - rho)
+        head = sum((r + n) ** n << (trunc - r) for r in range(trunc + 1))
+        s_all = Fraction(head, 1 << trunc) + tail_f
         return 2 * tail_f * s_all / (4 * math.factorial(n))
 
     trunc, tail = _certify(f"double sum for n={n}", tail_at, 2 * n + 8, tail_bound)
     coef = binomial if binary else multichoose
+    # the summand is symmetric in r and s: each r < s stands for two terms
     num = sum(
-        coef(r * s, n) * 2 ** (2 * trunc - r - s)
+        coef(r * s, n) << (2 * trunc - r - s + (r < s))
         for r in range(trunc + 1)
-        for s in range(trunc + 1)
+        for s in range(r, trunc + 1)
     )
-    partial = Fraction(num, 2 ** (2 * trunc + 2))
+    partial = Fraction(num, 1 << (2 * trunc + 2))
     value = math.ceil(partial)
     if value > partial + tail:
         raise UnconvergedError(

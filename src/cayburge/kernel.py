@@ -2,7 +2,9 @@
 
 Everything here is exact: integers are plain Python ints, rationals are
 ``fractions.Fraction``, and power series carry an explicit truncation
-order.  No floating point is used anywhere in the package.
+order.  A series stores integer numerators over one common denominator,
+so its arithmetic runs on ints and reduces once per operation.  No
+floating point is used anywhere in the package.
 
 Contents:
 
@@ -11,7 +13,7 @@ Contents:
 * composition generators shared by the word and matrix enumerators,
 * ``IntPoly``, a dense univariate integer polynomial,
 * ``BiPoly``, a sparse bivariate integer polynomial in (s, t),
-* ``RatSeries``, a truncated power series over Fraction.
+* ``RatSeries``, a truncated power series over Q on one common denominator.
 """
 
 from __future__ import annotations
@@ -363,27 +365,47 @@ class BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# truncated power series over Fraction
+# truncated power series over Q, on one common denominator
 
 
 class RatSeries:
-    """Power series with Fraction coefficients, truncated at an explicit order.
+    """Power series with rational coefficients, truncated at an explicit order.
 
     A series of order N carries exact coefficients of x^0 .. x^N and
     nothing beyond.  Binary operations on series of different orders
     truncate to the smaller order; the result's ``order`` records that.
+
+    The coefficients are stored as integer numerators ``_nums`` over one
+    positive denominator ``_den``, in lowest terms (the gcd of ``_den``
+    and every numerator is 1).  That form is unique, so equality and
+    hashing compare integers, and each operation reduces once instead of
+    once per coefficient.  ``coeffs`` reads them back as Fractions.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_nums", "_den")
 
     def __init__(self, coeffs: Iterable, order: int):
         cs = [Fraction(c) for c in coeffs]
         if order < 0:
             raise ValueError("series order must be nonnegative")
-        cs = cs[: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
+        cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        self._store([c.numerator * (den // c.denominator) for c in cs], den, order)
+
+    @classmethod
+    def _over(cls, nums: list[int], den: int, order: int) -> "RatSeries":
+        """The series nums / den, for den > 0 and order + 1 numerators."""
+        out = object.__new__(cls)
+        out._store(nums, den, order)
+        return out
+
+    def _store(self, nums: list[int], den: int, order: int) -> None:
+        g = math.gcd(den, *nums)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # from a list: tuple(generator) resizes its result, and the resized
+        # tuples pile up on the interpreter's tuple free lists
+        object.__setattr__(self, "_nums", tuple(nums if g == 1 else [c // g for c in nums]))
+        object.__setattr__(self, "_den", den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatSeries is immutable")
@@ -413,99 +435,95 @@ class RatSeries:
     @classmethod
     def from_rational(cls, num: IntPoly, den: IntPoly, order: int) -> "RatSeries":
         """Expand num/den as a series; den must have nonzero constant term."""
-        if den.coefficient(0) == 0:
+        d0 = den.coefficient(0)
+        if d0 == 0:
             raise NeedsUnitConstantTerm("denominator has zero constant term")
-        d0 = Fraction(den.coefficient(0))
-        out: list[Fraction] = []
+        scale = abs(d0) ** (order + 1)  # coefficient n times scale is an integer
+        out: list[int] = []
         for n in range(order + 1):
-            acc = Fraction(num.coefficient(n))
-            for k in range(1, n + 1):
-                dk = den.coefficient(k)
-                if dk:
-                    acc -= dk * out[n - k]
-            out.append(acc / d0)
-        return cls(out, order=order)
+            acc = num.coefficient(n) * scale - sum(map(int.__mul__, den.coeffs[1:], out[::-1]))
+            out.append(acc // d0)
+        return cls._over(out, scale, order)
 
     # -- accessors ---------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._nums)
 
     def coefficient(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("coefficient index must be nonnegative")
         if n > self.order:
             raise SeriesError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
+        return Fraction(self._nums[n], self._den)
 
     def integer_coefficients(self) -> list[int]:
         """All coefficients, asserting each is an integer."""
-        out = []
-        for n, c in enumerate(self.coeffs):
-            if c.denominator != 1:
-                raise ArithmeticError(f"coefficient of x^{n} is non-integral: {c}")
-            out.append(c.numerator)
-        return out
+        for n, c in enumerate(self._nums):
+            if c % self._den:
+                raise ArithmeticError(
+                    f"coefficient of x^{n} is non-integral: {Fraction(c, self._den)}"
+                )
+        return list(self._nums)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatSeries)
             and self.order == other.order
-            and self.coeffs == other.coeffs
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self._den, self._nums))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "RatSeries") -> "RatSeries":
-        order = min(self.order, other.order)
-        return RatSeries(
-            [self.coeffs[n] + other.coeffs[n] for n in range(order + 1)], order=order
-        )
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        nums = [x * a + y * b for x, y in zip(self._nums, other._nums)]
+        return RatSeries._over(nums, den, min(self.order, other.order))
 
     def __neg__(self) -> "RatSeries":
-        return RatSeries([-c for c in self.coeffs], order=self.order)
+        return RatSeries._over([-c for c in self._nums], self._den, self.order)
 
     def __sub__(self, other: "RatSeries") -> "RatSeries":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RatSeries([c * other for c in self.coeffs], order=self.order)
+            num, den = other.numerator, other.denominator
+            return RatSeries._over([c * num for c in self._nums], self._den * den, self.order)
         order = min(self.order, other.order)
-        out = [Fraction(0)] * (order + 1)
-        for i in range(order + 1):
-            a = self.coeffs[i]
-            if a:
-                for j in range(order + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return RatSeries(out, order=order)
+        a, b = self._nums, other._nums
+        out = [sum(map(int.__mul__, a, b[k::-1])) for k in range(order + 1)]
+        return RatSeries._over(out, self._den * other._den, order)
 
     __rmul__ = __mul__
 
     def invert_unit(self) -> "RatSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
-        # IntPoly's coefficient lookup serves Fraction coefficients as well
-        return RatSeries.from_rational(IntPoly((1,)), IntPoly(self.coeffs), self.order)
+        return RatSeries.from_rational(IntPoly((self._den,)), IntPoly(self._nums), self.order)
 
     def compose(self, inner: "RatSeries") -> "RatSeries":
         """Substitute ``inner`` for x; inner must have zero constant term."""
-        if inner.coeffs[0] != 0:
+        if inner._nums[0]:
             raise NeedsZeroConstantTerm("inner series has nonzero constant term")
         order = min(self.order, inner.order)
-        acc = RatSeries((), order=order)  # each product with inner truncates to order
-        for c in reversed(self.coeffs[: order + 1]):
-            acc = acc * inner + RatSeries([c], order=order)
-        return acc
+        zeros = [0] * order
+        acc = RatSeries._over([0, *zeros], 1, order)  # each product with inner truncates to order
+        for c in reversed(self._nums[: order + 1]):
+            acc = acc * inner + RatSeries._over([c, *zeros], 1, order)
+        return RatSeries._over(list(acc._nums), acc._den * self._den, order)
 
     # -- EGF / OGF views ---------------------------------------------------
 
     def egf_to_ogf(self) -> "RatSeries":
         """Reinterpret exponential coefficients as ordinary ones (multiply by n!)."""
-        return RatSeries(
-            [c * math.factorial(n) for n, c in enumerate(self.coeffs)], order=self.order
-        )
+        nums = [c * math.factorial(n) for n, c in enumerate(self._nums)]
+        return RatSeries._over(nums, self._den, self.order)
 
     def __repr__(self) -> str:
         return f"RatSeries({[str(c) for c in self.coeffs]}, order={self.order})"

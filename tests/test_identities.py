@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from cayburge.identities import (
     run_suite,
     two_sided_formula,
 )
-from cayburge.kernel import BiPoly, IntPoly
+from cayburge.kernel import BiPoly, IntPoly, binomial, multichoose
 from cayburge.words import AscentSetSpec, ascent_set, caylerian_brute, enumerate_cayley
 
 MAT = [1, 1, 5, 33, 281, 2961, 37277]
@@ -237,7 +238,7 @@ def test_genmat_ogf_coefficients():
 
 
 def test_halving_sum_certificates():
-    for n in range(6):
+    for n in range(21):
         for binary in (False, True):
             partial, tail = halving_sum(n, binary=binary)
             assert tail < Fraction(1, 2)
@@ -256,12 +257,41 @@ def test_halving_sum_unconverged():
 
 
 def test_double_sum_values():
-    for n in range(6):
+    for n in range(21):
         for binary in (False, True):
             value, partial, tail = double_sum_mat(n, binary=binary)
             assert value == count_mat(n, binary=binary)
             assert partial <= value <= partial + tail
             assert tail < Fraction(1, 2)
+
+
+def _double_sum_by_fractions(n, binary):
+    """The double sum over the full square, with a Fraction per tail term
+    and 2 ** k weights: the model the shifted, halved sum must match."""
+
+    def tail_at(trunc):
+        rho = Fraction((trunc + n + 2) ** n, 2 * (trunc + n + 1) ** n)
+        if rho >= 1:
+            return None
+        tail_f = Fraction((trunc + 1 + n) ** n, 2 ** (trunc + 1)) / (1 - rho)
+        s_all = sum(Fraction((r + n) ** n, 2**r) for r in range(trunc + 1)) + tail_f
+        return 2 * tail_f * s_all / (4 * math.factorial(n))
+
+    trunc, tail = identities._certify("model", tail_at, 2 * n + 8, Fraction(1, 2))
+    coef = binomial if binary else multichoose
+    num = sum(
+        coef(r * s, n) * 2 ** (2 * trunc - r - s)
+        for r in range(trunc + 1)
+        for s in range(trunc + 1)
+    )
+    partial = Fraction(num, 2 ** (2 * trunc + 2))
+    return math.ceil(partial), partial, tail
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_double_sum_matches_the_fraction_model(binary):
+    for n in range(13):
+        assert double_sum_mat(n, binary=binary) == _double_sum_by_fractions(n, binary)
 
 
 def test_double_sum_rejects_bad_bound():

@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -302,3 +303,96 @@ def test_ratseries_integer_coefficients_rejects_fractions():
 def test_ratseries_mixed_orders():
     mixed = RatSeries.geometric(5) + RatSeries.geometric(3)
     assert mixed.order == 3
+
+
+# RatSeries against a model: a series of order N is the plain list of its
+# N + 1 Fraction coefficients.
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+coeff_lists = st.lists(small_fractions, min_size=0, max_size=6)
+orders = st.integers(0, 5)
+
+
+def _model(cs, order):
+    return (list(map(Fraction, cs)) + [Fraction(0)] * (order + 1))[: order + 1]
+
+
+def _model_mul(a, b):
+    order = min(len(a), len(b)) - 1
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(order + 1)]
+
+
+def _model_compose(outer, inner):
+    order = min(len(outer), len(inner)) - 1
+    acc = [Fraction(0)] * (order + 1)
+    for c in reversed(outer[: order + 1]):
+        acc = _model_mul(acc, inner[: order + 1])
+        acc[0] += c
+    return acc
+
+
+def _model_invert(a):
+    inv = []
+    for n in range(len(a)):
+        acc = Fraction(int(n == 0)) - sum(a[k] * inv[n - k] for k in range(1, n + 1))
+        inv.append(acc / a[0])
+    return inv
+
+
+def _agrees(series, model):
+    assert series.order == len(model) - 1
+    assert series.coeffs == tuple(model)
+    assert [series.coefficient(n) for n in range(len(model))] == model
+    # the same series built from its coefficients has the same form
+    rebuilt = RatSeries(model, order=series.order)
+    assert series == rebuilt and hash(series) == hash(rebuilt)
+    fractional = [n for n, c in enumerate(model) if c.denominator != 1]
+    if not fractional:
+        assert series.integer_coefficients() == [int(c) for c in model]
+        return
+    n = fractional[0]
+    message = f"coefficient of x^{n} is non-integral: {model[n]}"
+    with pytest.raises(ArithmeticError, match=re.escape(message) + "$"):
+        series.integer_coefficients()
+
+
+@given(coeff_lists, orders, coeff_lists, orders, small_fractions, st.integers(-4, 4))
+def test_ratseries_matches_the_list_model(a, order_a, b, order_b, q, k):
+    x, y = RatSeries(a, order=order_a), RatSeries(b, order=order_b)
+    ma, mb = _model(a, order_a), _model(b, order_b)
+    _agrees(x, ma)
+    _agrees(x + y, [u + v for u, v in zip(ma, mb)])
+    _agrees(x - y, [u - v for u, v in zip(ma, mb)])
+    _agrees(-x, [-u for u in ma])
+    _agrees(x * y, _model_mul(ma, mb))
+    for scalar in (q, k, 0):
+        _agrees(x * scalar, [u * scalar for u in ma])
+        _agrees(scalar * x, [scalar * u for u in ma])
+    inner = RatSeries([0, *b], order=order_b)
+    _agrees(x.compose(inner), _model_compose(ma, _model([0, *b], order_b)))
+    if mb[0]:
+        with pytest.raises(NeedsZeroConstantTerm):
+            x.compose(y)
+    if ma[0]:
+        _agrees(x.invert_unit(), _model_invert(ma))
+    else:
+        with pytest.raises(NeedsUnitConstantTerm):
+            x.invert_unit()
+
+
+def test_ratseries_has_one_form_per_series():
+    half = RatSeries([Fraction(1, 2)], order=2)
+    for same in (
+        RatSeries([Fraction(2, 4)], order=2),
+        RatSeries([Fraction(1, 2), 0, 0], order=2),
+        RatSeries([Fraction(1, 2), 0, 0, 7], order=2),
+        RatSeries([1], order=2) * Fraction(1, 2),
+        RatSeries([3, Fraction(1, 3)], order=2) - RatSeries([Fraction(5, 2), Fraction(2, 6)], order=2),
+    ):
+        assert same == half and hash(same) == hash(half)
+    assert RatSeries([Fraction(1, 2)], order=3) != half
+    zero = RatSeries([], order=2)
+    assert zero == RatSeries([Fraction(0, 5)], order=2) == half * 0
+    assert hash(zero) == hash(half * 0)
+    with pytest.raises(AttributeError):
+        half.coeffs = ()

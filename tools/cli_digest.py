@@ -11,7 +11,8 @@ can be checked against its parent:
     python3 tools/cli_digest.py --src /tmp/parent/src
     python3 tools/cli_digest.py
 
-The set covers the verify suites (one unconverged), the pairing check on
+The set covers the verify suites (one unconverged), the gf and kernel
+suites in json at every --max-n and --max-m in 0..8, the pairing check on
 grids too small to tell its two pairings apart, every closed-form count
 method, both certified sums, both polynomial formulas past the formula
 cap, both brute-force polynomials up to the enumeration cap, every count
@@ -57,6 +58,12 @@ def commands() -> list[list[str]]:
         *(["verify", suite, "--max-n", "8", "--max-m", "8"] for suite in ("formulas", "gf", "pairing")),
         ["verify", "gf", "--max-n", "3", "--tail-bound", f"1/{2**9000}"],
     ]
+    # the series and certified-sum suites at every bound of the
+    # formula-queries grid, order-0 series and m = 0 included
+    for max_n in range(9):
+        for max_m in range(9):
+            for suite in ("gf", "kernel"):
+                out.append(["verify", suite, "--max-n", str(max_n), "--max-m", str(max_m), "--format", "json"])
     # grids on which no cell tells the two pairings apart
     for bound in (["--max-n", "1"], ["--max-m", "0"]):
         for fmt in ("text", "json"):
