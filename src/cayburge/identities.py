@@ -121,6 +121,13 @@ def _certify(
         trunc *= 2
 
 
+def _integer_within(partial: Fraction, tail: Fraction) -> int | None:
+    """The integer in [partial, partial + tail], or None; a tail below 1/2
+    leaves room for at most one."""
+    value = math.ceil(partial)
+    return value if value <= partial + tail else None
+
+
 # ---------------------------------------------------------------------------
 # counting normalized matrices of linear orders
 
@@ -195,6 +202,8 @@ def count_mat(n: int, binary: bool = False, method: str = "stirling") -> int:
         return sum(1 for _ in burge.enumerate_mat(n, binary=binary))
     if method == "double-sum":
         value, _, _ = double_sum_mat(n, binary=binary)
+        if value is None:
+            raise UnconvergedError(f"no integer inside the certified interval for n={n}")
         return value
     raise ValueError(f"unknown method {method!r}; choose from {MAT_METHODS}")
 
@@ -332,13 +341,12 @@ def halving_sum_exact(n: int, binary: bool = False) -> int:
 
 def double_sum_mat(
     n: int, binary: bool = False, tail_bound: Fraction = Fraction(1, 2)
-) -> tuple[int, Fraction, Fraction]:
+) -> tuple[int | None, Fraction, Fraction]:
     """Evaluate sum_{r,s>=0} coef(rs, n) / 2^(r+s+2) with a certified tail.
 
     coef is multichoose in the general case and binomial in the binary
     one.  Returns (value, partial, tail) where value is the unique
-    integer in [partial, partial + tail]; raises UnconvergedError when
-    no integer lands in the certified interval.
+    integer in [partial, partial + tail], or None when none lies there.
 
     Tail certificate: coef(rs, n) <= (r+n)^n (s+n)^n / n!, so the mass
     outside the [0, M]^2 square is at most
@@ -364,12 +372,7 @@ def double_sum_mat(
         for s in range(r, trunc + 1)
     )
     partial = Fraction(num, 1 << (2 * trunc + 2))
-    value = math.ceil(partial)
-    if value > partial + tail:
-        raise UnconvergedError(
-            f"no integer inside the certified interval for n={n}"
-        )
-    return value, partial, tail
+    return _integer_within(partial, tail), partial, tail
 
 
 # ---------------------------------------------------------------------------
@@ -989,11 +992,8 @@ def _check_certified(
 
 def check_halving(max_n: int, tail_bound: Fraction = Fraction(1, 2)) -> list[CheckResult]:
     def routes(n: int, binary: bool) -> dict:
-        partial, tail = halving_sum(n, binary=binary, tail_bound=tail_bound)
-        # tail < tail_bound <= 1/2: at most one integer lies in [partial, partial + tail]
-        inside = math.ceil(partial)
         return {
-            "certified": inside if inside <= partial + tail else None,
+            "certified": _integer_within(*halving_sum(n, binary=binary, tail_bound=tail_bound)),
             "newton": halving_sum_exact(n, binary=binary),
         }
 
@@ -1002,7 +1002,6 @@ def check_halving(max_n: int, tail_bound: Fraction = Fraction(1, 2)) -> list[Che
 
 
 def check_double_sum(max_n: int, tail_bound: Fraction = Fraction(1, 2)) -> list[CheckResult]:
-    # double_sum_mat returns only an integer inside its certified interval
     def routes(n: int, binary: bool) -> dict:
         return {"double-sum": double_sum_mat(n, binary=binary, tail_bound=tail_bound)[0]}
 

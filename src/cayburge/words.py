@@ -51,81 +51,58 @@ def is_cayley_word(w: Word) -> bool:
     return min(values) == 1 and max(values) == len(values)
 
 
+# The last three letters of each word come from a table: at n = 8 depth three
+# runs in about half the time of two; four is slower and holds 1.7 MB, not 0.27.
+_TABLE_DEPTH = 3
+
+
 def enumerate_cayley(n: int) -> Iterator[Word]:
     """Yield every Cayley permutation of size n once, in lexicographic order.
 
-    An iterative lexicographic successor, in the manner of the
-    restricted-growth-string generators of Knuth (TAOCP 4A, 7.2.1.5).
-    The prefix word[:i] is summarised by top[i], its largest value, and
-    missing[i], a bitmask with bit v - 1 set for each v < top[i] absent
-    from it.  A prefix is feasible when its missing values fit in the
-    positions left.  Each round yields the current prefix of length
-    n - 2 followed by each of its two-letter tails, which depend only on
-    the prefix's (top, missing) and are tabled once per pair; then it
-    raises the rightmost position that can take a larger feasible value
-    and refills the positions after it with their smallest completion:
-    1 while there is slack, else the smallest missing value.
+    A depth-first walk (Knuth, TAOCP 4B, 7.2.2, Algorithm B) on an
+    explicit stack of iterators, one per letter, so it never recurses and
+    holds O(n) letters.  _extensions steps a prefix, summarised by its
+    largest value top and the bitmask missing (bit v - 1 for each v < top
+    it lacks).  A prefix with three letters left takes its completions
+    from a table keyed by (top, missing), built on first use.
     """
     if n < 0:
         raise ValueError("enumerate_cayley needs n >= 0")
-    if n < 2:  # () and (1,)
-        yield (1,) * n
-        return
-    last = n - 2
-    word = [1] * last
-    top = [0] + [1] * last
-    missing = [0] * (last + 1)
+    depth = min(n, _TABLE_DEPTH)
     tails: dict[tuple[int, int], list[Word]] = {}
-    while True:
-        prefix = tuple(word)
-        key = top[last], missing[last]
-        ends = tails.get(key)
-        if ends is None:
-            ends = tails[key] = _two_letter_tails(*key)
-        for end in ends:
-            yield prefix + end
-        # the rightmost position i < n - 2 whose value can grow, and its next value
-        i = last - 1
-        while i >= 0:
-            v, t, m = word[i], top[i], missing[i]
-            slots, count = n - 1 - i, m.bit_count()  # positions after i, values to place
-            if count > slots:  # no slack: only a missing value above v fits
-                higher = m >> v
-                if higher:
-                    v += (higher & -higher).bit_length()
-                    break
-            elif count + max(0, v - t) <= slots:  # v + 1 adds max(0, v - t) missing values
-                v += 1
+    # stack[i] places word[i]; stack[0] yields the empty prefix once, as a letter 0
+    word = [0] * (n - depth + 1)
+    stack = [iter([(0, 0, 0)])]
+    while stack:
+        i = len(stack) - 1
+        for word[i], top, missing in stack[-1]:
+            if i < n - depth:
+                stack.append(_extensions(top, missing, n - i))
                 break
-            i -= 1
+            if (top, missing) not in tails:
+                level = [((), top, missing)]
+                for k in range(depth, 0, -1):
+                    level = [(end + (v,), t, m) for end, *state in level
+                             for v, t, m in _extensions(*state, k)]
+                tails[top, missing] = [end for end, _, _ in level]
+            prefix = tuple(word[1:])
+            for end in tails[top, missing]:
+                yield prefix + end
         else:
-            return
-        # place v at i, then the smallest completion of word[:i + 1] up to n - 2
-        while True:
-            word[i] = v
-            t, m = top[i], missing[i]
-            i += 1
-            if v <= t:
-                top[i], missing[i] = t, m & ~(1 << (v - 1))
-            else:
-                top[i], missing[i] = v, m | ((1 << (v - 1)) - (1 << t))
-            if i == last:
-                break
-            m = missing[i]
-            v = 1 if m.bit_count() < n - i else (m & -m).bit_length()
+            stack.pop()
 
 
-def _two_letter_tails(top: int, missing: int) -> list[Word]:
-    """The pairs (a, b), lexicographically, that complete a prefix with
-    largest value top and missing-value bitmask missing to a Cayley word."""
-    present = {v for v in range(1, top + 1) if not missing >> (v - 1) & 1}
-    letters = range(1, top + 3)
-    return [
-        (a, b)
-        for a in letters
-        for b in letters
-        if max(top, a, b) == len(present | {a, b})
-    ]
+def _extensions(top: int, missing: int, left: int) -> Iterator[tuple[int, int, int]]:
+    """Each letter v, increasing, with the top and missing it leaves, whose
+    missing values fit in the left - 1 places after v: a missing v always
+    fits, another v <= top needs a spare place, a v > top adds v - 1 - top."""
+    room = left - missing.bit_count()
+    for v in range(1, top + room + 1):
+        bit = 1 << (v - 1)
+        if v > top:
+            yield v, v, missing | (bit - (1 << top))
+        elif missing & bit or room:
+            yield v, top, missing & ~bit
 
 
 def enumerate_linear_orders(n: int) -> Iterator[Word]:

@@ -495,6 +495,19 @@ def test_count_enumerate_takes_the_enumerate_caps(capsys):
     assert code == 0 and out.strip() == "126"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("count", "genmat", "--rows", "2", "--size", "2", "--method", "bogus"),
+         f"unknown method 'bogus'; choose from {identities.GENMAT_METHODS}"),
+        (("verify", "all", "--format", "csv"), "verify writes text or json, not csv"),
+    ],
+    ids=["count-unknown-method", "verify-csv"],
+)
+def test_refusals_exit_2_with_empty_stdout(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", message + "\n")
+
+
 def test_negative_arguments_rejected(capsys):
     code, _, err = run_cli(capsys, "count", "mat", "--n", "-1")
     assert code == 2

@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayburge import burge, identities, lomat, words
 from cayburge.burge import two_sided_brute
@@ -32,7 +33,7 @@ from cayburge.identities import (
     run_suite,
     two_sided_formula,
 )
-from cayburge.kernel import BiPoly, IntPoly, binomial, multichoose
+from cayburge.kernel import BiPoly, IntPoly, binomial, fubini, multichoose
 from cayburge.words import AscentSetSpec, ascent_set, caylerian_brute, enumerate_cayley
 
 MAT = [1, 1, 5, 33, 281, 2961, 37277]
@@ -297,6 +298,57 @@ def test_double_sum_matches_the_fraction_model(binary):
 def test_double_sum_rejects_bad_bound():
     with pytest.raises(ValueError):
         double_sum_mat(2, tail_bound=Fraction(3, 4))
+
+
+def _eight_more_at_one(real):
+    return lambda k, n: real(k, n) + 8 * (k == 1)
+
+
+def test_a_wrong_double_sum_fails_with_a_witness(monkeypatch, capsys):
+    """Eight more in coef(1, n) moves the r = s = 1 term, and with it the
+    partial sum, by exactly 1/2: no integer lies in the certified
+    interval, so the check fails, as a wrong halving sum does."""
+    for coef in ("binomial", "multichoose"):
+        monkeypatch.setattr(identities, coef, _eight_more_at_one(getattr(identities, coef)))
+    assert double_sum_mat(2)[0] is None
+    results = identities.check_double_sum(3)
+    assert [r.status for r in results] == ["fail", "fail"]
+    assert [r.witness for r in results] == [{"n": 0, "count": 1, "double-sum": None}] * 2
+    with pytest.raises(UnconvergedError, match="no integer inside the certified interval for n=2"):
+        count_mat(2, method="double-sum")
+    assert cli_main(["count", "mat", "--n", "2", "--method", "double-sum"]) == 3
+    assert capsys.readouterr() == ("", "no integer inside the certified interval for n=2\n")
+
+
+# random points past the exhaustive grids of verify, which stop at n = 8
+
+_RANDOM_POINTS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@_RANDOM_POINTS
+@given(st.integers(0, 6), st.integers(0, 30), st.booleans())
+def test_count_genmat_closed_forms_agree_at_random_points(m, n, binary):
+    values = {count_genmat(m, n, binary, method) for method in ("stirling", "inclexcl", "ogf-coefficient")}
+    assert len(values) == 1
+
+
+@_RANDOM_POINTS
+@given(st.integers(0, 30), st.booleans())
+def test_count_mat_matches_the_halving_sum_at_random_points(n, binary):
+    assert count_mat(n, binary) == halving_sum_exact(n, binary)
+
+
+@_RANDOM_POINTS
+@given(st.integers(0, 30), st.booleans())
+def test_caylerian_formula_evaluations_at_random_points(n, strict):
+    assert caylerian_formula(n)(1) == fubini(n)
+    assert caylerian_formula(n, strict)(2) == count_mat(n, strict)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 20), st.booleans())
+def test_double_sum_at_random_points(n, binary):
+    assert count_mat(n, binary, method="double-sum") == count_mat(n, binary)
 
 
 def test_run_suite_all_passes():

@@ -88,6 +88,12 @@ def test_enumerate_cayley_rejects_negative_n_on_its_first_step():
         next(words)
 
 
+def test_enumerate_cayley_streams_at_any_size():
+    # the walk holds an explicit stack, so a size past the recursion limit streams
+    assert list(itertools.islice(enumerate_cayley(3000), 2)) == [(1,) * 3000, (1,) * 2999 + (2,)]
+    assert next(enumerate_ballots(3000)) == (frozenset(range(1, 3001)),)
+
+
 def test_is_cayley_word():
     assert is_cayley_word(())
     assert is_cayley_word((1, 1, 2))

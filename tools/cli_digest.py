@@ -20,7 +20,8 @@ method and both polynomial methods in json and csv, the ten enumerate
 commands of the benchmark's enumerate-stream workload, two genmat
 commands at size 10 (the only ones whose entries hold a letter of two
 digits), every enumerable object in text, json and csv at sizes 0-2
-(each --binary variant too), argparse's own failures (an unknown
+(each --binary variant too), the Cayley words and ballots in every
+format at sizes 3-7, argparse's own failures (an unknown
 subcommand, a bad choice, a bad integer) and --help, one refused flag,
 three refused --ascents values (unparsable, out of range, and a rows
 mismatch), `oeis` on each sequence against its bundled b-file (the
@@ -128,6 +129,11 @@ def commands() -> list[list[str]]:
         for flags in sizes:
             for fmt in ("text", "json", "csv"):
                 out.append(["enumerate", obj, *flags, "--format", fmt])
+    # the Cayley words and ballots at every size from 3 up to the cap
+    for obj in ("cayley", "ballot"):
+        for n in range(3, ENUM_BOUND + 1):
+            for fmt in ("text", "json", "csv"):
+                out.append(["enumerate", obj, "--n", str(n), "--format", fmt])
     out += [
         ["enumerate", "mat", "--n", "3", "--ascents", "1,x"],
         ["enumerate", "mat", "--n", "3", "--ascents", "7"],
