@@ -9,8 +9,8 @@ The binary variant requires weak descents of u to be strict descents of
 v, which is the same as capping the matrix entries at 1.
 
 Since u is weakly increasing it is 1^a1 2^a2 ... r^ar for a composition
-(a1..ar) of n, so u ranges over compositions; enumeration below exploits
-that, plus bitmask subset tests for the descent condition.  The row sums
+(a1..ar) of n, so u ranges over compositions, and for each u one Cayley
+walk yields the words v that descend wherever u stays put.  The row sums
 of the matrix are (a1..ar), so the matrices with given row sums are
 generated from their one u alone.
 """
@@ -126,12 +126,9 @@ def enumerate_burge(n: int, binary: bool = False) -> Iterator[BurgeWord]:
     """All (binary) Burge words of size n; u-major, then v, both lexicographic."""
     if n < 0:
         raise ValueError("enumerate_burge needs n >= 0")
-    cay = [(w, descent_mask(w, strict=binary)) for w in enumerate_cayley(n)]
     for u in enumerate_weakly_increasing(n):
-        umask = descent_mask(u, strict=False)
-        for v, vmask in cay:
-            if umask & ~vmask == 0:
-                yield BurgeWord(u, v)
+        for v in enumerate_cayley(n, descent_mask(u), binary):
+            yield BurgeWord(u, v)
 
 
 def enumerate_mat(
@@ -152,12 +149,7 @@ def enumerate_mat(
         )
     else:
         u = tuple(i for i, d in enumerate(row_sums_spec.delta, start=1) for _ in range(d))
-        umask = descent_mask(u, strict=False)
-        biwords = (
-            BurgeWord(u, v)
-            for v in enumerate_cayley(n)
-            if umask & ~descent_mask(v, strict=binary) == 0
-        )
+        biwords = (BurgeWord(u, v) for v in enumerate_cayley(n, descent_mask(u), binary))
     for bw in biwords:
         yield word_to_matrix(bw)
 

@@ -13,11 +13,11 @@ only.  `enumerate` and `count` refuse the flags their object does
 not read.  `verify` writes text or json and refuses csv.  `oeis` takes
 --max-n >= 1 and at most one of --b-file and --fetch.
 
-Exit codes: 0 success, 1 a verification or comparison failed, 2 invalid
-parameters or malformed input, 3 a certified truncation did not
-converge, 141 the reader closed standard output early (as `| head`
-does).  Enumerative work is capped at n <= 7 (rows <= 8) and formula
-work at n <= 12 unless --unsafe-bounds is given.
+Exit codes: 0 success, 1 a verification or comparison failed or a check
+raised, 2 invalid parameters or malformed input, 3 a certified
+truncation did not converge, 141 the reader closed standard output
+early (as `| head` does).  Enumerative work is capped at n <= 7
+(rows <= 8) and formula work at n <= 12 unless --unsafe-bounds is given.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 from itertools import chain, islice
@@ -259,7 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("formula", "brute"), default="formula")
     p.set_defaults(func=_cmd_poly)
 
-    p = sub.add_parser("verify", parents=[common], help="run cross-check suites")
+    p = sub.add_parser(
+        "verify",
+        parents=[common],
+        help="run cross-check suites",
+        description="Run cross-check suites.  --unsafe-bounds lifts the cap of 8 on --max-n and --max-m,"
+        " not each check's own caps; every result prints the bounds it ran at.",
+    )
     p.add_argument("suite", choices=("all",) + tuple(identities.SUITES))
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--max-m", type=int, default=2)
@@ -438,9 +445,9 @@ def _cmd_verify(args) -> int:
     if error:
         return _fail(f"verify: {error}", 2)
     results = identities.run_suite(args.suite, args.max_n, args.max_m, args.tail_bound)
-    summary = {"pass": 0, "fail": 0, "unconverged": 0}
-    for r in results:
-        summary[r.status] += 1
+    # an "error" count appears only when a check raised
+    summary = Counter(dict.fromkeys(("pass", "fail", "unconverged"), 0))
+    summary.update(r.status for r in results)
     if args.format == "json":
         payload = {
             "suite": args.suite,
@@ -463,7 +470,7 @@ def _cmd_verify(args) -> int:
         print(f"{len(results)} checks: " + ", ".join(f"{v} {k}" for k, v in summary.items()))
     if summary["unconverged"]:
         return 3
-    return 1 if summary["fail"] else 0
+    return 1 if summary["fail"] or summary["error"] else 0
 
 
 # ---------------------------------------------------------------------------

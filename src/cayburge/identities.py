@@ -383,8 +383,9 @@ def double_sum_mat(
 class CheckResult:
     """Outcome of one named cross-check.
 
-    status is "pass", "fail", or "unconverged"; witness, when present,
-    is the first failing point with the value of every route there.
+    status is "pass", "fail", "unconverged", or "error"; witness, when
+    present, is the first failing point with the value of every route
+    there, or for an error the exception the check raised.
     """
 
     name: str
@@ -543,6 +544,7 @@ def check_atom_ballot(max_n: int, max_m: int) -> list[CheckResult]:
 
     def round_trip(structure, m: int, n: int, mode: str) -> None:
         encoded = lomat.to_atom_ballot(structure, row_mode=mode)
+        # a refusal stays a fail here, not run_suite's error: its witness names m, n and the mode
         try:
             if lomat.from_atom_ballot(encoded, m if mode == "color" else None) != structure:
                 failures.append({"m": m, "n": n, "mode": mode})
@@ -1066,17 +1068,22 @@ def run_suite(
     """Run one suite, or all of them in a fixed order with name="all".
 
     Each check runs at the requested bounds clamped to its caps in
-    SUITES, and its results' params report those clamped bounds.
+    SUITES, and its results' params report those clamped bounds.  A check
+    that raises gives one result of status "error", named after the check
+    function, and the checks after it still run.
     """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     out = []
     for suite in SUITES if name == "all" else (name,):
         for check, n_cap, m_cap in SUITES[suite]:
-            args = [min(max_n, n_cap)]
+            params = {"max_n": min(max_n, n_cap)}
             if m_cap is not None:
-                args.append(min(max_m, m_cap))
-            if check in _TAIL_BOUNDED:
-                args.append(tail_bound)
-            out += globals()[check](*args)
+                params["max_m"] = min(max_m, m_cap)
+            args = [*params.values(), tail_bound] if check in _TAIL_BOUNDED else params.values()
+            try:
+                out += globals()[check](*args)
+            except Exception as exc:  # an error, not a fail: the check could not finish
+                witness = {"type": type(exc).__name__, "message": str(exc)}
+                out.append(CheckResult(check, params, "error", witness))
     return out

@@ -1,6 +1,7 @@
 """Burge words, Burge matrices, and the tally bijection between them."""
 
 import itertools
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,6 +227,25 @@ def test_enumerate_mat_row_sums_equals_the_filtered_full_enumeration(binary):
                 spec = AscentSetSpec(n, S)
                 got = list(enumerate_mat(n, binary=binary, row_sums_spec=spec))
                 assert got == filtered[spec.delta], (n, S)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_burge_words_and_matrices_stream_at_any_size(binary):
+    # v walks under u's descent mask, so no list of Cayley words comes first;
+    # the first u is constant, so the first v descends (strictly when binary)
+    # at every place
+    n = 3000
+    v = tuple(range(n, 0, -1)) if binary else (1,) * n
+    assert list(islice(enumerate_burge(n, binary=binary), 1)) == [BurgeWord((1,) * n, v)]
+    assert list(islice(enumerate_mat(n, binary=binary), 1)) == [((1,) * n,) if binary else ((n,),)]
+
+
+@pytest.mark.parametrize("binary, count", [(False, 2**15), (True, 1)])
+def test_the_row_sum_stream_with_every_place_forced(binary, count):
+    # one row: v descends at each of the 15 places, weakly (one v per
+    # composition of 16) or strictly (16..1 alone)
+    spec = AscentSetSpec(16, ())
+    assert sum(1 for _ in enumerate_mat(16, binary=binary, row_sums_spec=spec)) == count
 
 
 def _matrices_with_row_sums(delta, binary):

@@ -6,7 +6,8 @@ import json
 import os
 import subprocess
 import sys
-from itertools import cycle, islice
+import tracemalloc
+from itertools import cycle, islice, product
 from pathlib import Path
 
 import pytest
@@ -369,6 +370,40 @@ def test_enumerate_writes_each_object_as_it_is_generated(monkeypatch, fmt, first
     assert main(["enumerate", "cayley", "--n", "2", "--format", fmt]) == 0
     assert written_before_second[0].endswith(first)
     assert out.getvalue().startswith(written_before_second[0])
+
+
+# At this size every enumerate stream gives its first object within
+# STREAM_BUDGET traced bytes; one that lists every Cayley word first would
+# not finish.
+STREAM_SIZE, STREAM_BUDGET = 12, 64 * 1024
+
+
+def _stream_cases():
+    """(object, arguments) for each ENUMERABLE object under each value of
+    its --binary and --ascents flags.  The ascent set splits the size
+    over the rows: three for genmat and signed, and for mat one, so S is
+    empty and every place of v is forced."""
+    for obj, (flags, *_) in cli.ENUMERABLE.items():
+        rows = 1 if "n" in flags else 3
+        positions = tuple(STREAM_SIZE * i // rows for i in range(1, rows))
+        values = {"binary": (False, True), "ascents": (None, words.AscentSetSpec(STREAM_SIZE, positions))}
+        shared = [f for f in flags if f in values]
+        for chosen in product(*(values[f] for f in shared)):
+            args = {"n": STREAM_SIZE} if rows == 1 else {"rows": rows, "size": STREAM_SIZE}
+            args |= dict(zip(shared, chosen))
+            yield pytest.param(obj, args, id="-".join([obj, *(f for f in shared if args[f])]))
+
+
+@pytest.mark.parametrize("obj, args", _stream_cases())
+def test_every_enumerate_stream_gives_its_first_object_in_bounded_memory(obj, args):
+    generate = cli.ENUMERABLE[obj][1]
+    tracemalloc.start()
+    try:
+        next(generate(**args))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < STREAM_BUDGET
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

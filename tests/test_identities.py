@@ -417,6 +417,36 @@ def test_run_suite_clamps_every_check_to_its_caps(monkeypatch):
                     assert r.params.get("max_m", 0) <= args[1], (check, r.params)
 
 
+def test_a_check_that_raises_becomes_an_error_result(monkeypatch, capsys):
+    """A check that raises gives one error result, with its clamped bounds
+    and the exception as witness, and the checks after it still run;
+    verify prints every result and exits 1."""
+    real = words.cayley_to_ballot
+
+    def refusing_one_letter(w):
+        if w == (1,):
+            raise ValueError("refused (1,)")
+        return real(w)
+
+    # the round trip calls it, and so does check_act_bijection through enumerate_ballots
+    monkeypatch.setattr(words, "cayley_to_ballot", refusing_one_letter)
+    results = run_suite("bijections", 3, 8)
+    witness = {"type": "ValueError", "message": "refused (1,)"}
+    assert results[0] == identities.CheckResult("check_cayley_ballot", {"max_n": 3}, "error", witness)
+    assert results[2] == identities.CheckResult("check_act_bijection", {"max_n": 3, "max_m": 3}, "error", witness)
+    assert [(r.name, r.status) for r in results[1::2]] == [
+        ("burge-word-matrix-bijection", "pass"),
+        ("atom-ballot-roundtrip", "pass"),
+    ]
+    assert cli_main(["verify", "all", "--max-n", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "31 checks: 29 pass, 0 fail, 0 unconverged, 2 error"  # each raising check held two results
+    errors = [line.split()[:3] for line in lines if line.startswith("ERROR")]
+    assert errors == [["ERROR", "check_cayley_ballot", "[max_n=3]"], ["ERROR", "check_act_bijection", "[max_n=3,"]]
+    assert cli_main(["verify", "bijections", "--max-n", "3", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["summary"] == {"pass": 2, "fail": 0, "unconverged": 0, "error": 2}
+
+
 def test_failing_route_witness_carries_every_route(monkeypatch):
     real = identities.count_genmat
 

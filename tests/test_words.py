@@ -94,6 +94,33 @@ def test_enumerate_cayley_streams_at_any_size():
     assert next(enumerate_ballots(3000)) == (frozenset(range(1, 3001)),)
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_enumerate_cayley_under_a_descent_mask_is_the_filtered_walk(strict):
+    # the reference is the filter enumerate_burge once ran over every Cayley word
+    for n in range(7):
+        every = list(enumerate_cayley(n))
+        for descents in range(2**n):  # bit n - 1 asks for a descent at position n, which no word has
+            expected = [w for w in every if descents & ~descent_mask(w, strict) == 0]
+            assert list(enumerate_cayley(n, descents, strict)) == expected
+
+
+def test_a_run_of_forced_places_leads_the_walk_to_no_dead_end(monkeypatch):
+    """No letter rises inside a forced run, so the room test asks the values
+    above the letter before it to fit after the run, and a strict run to fit
+    below it.  With every place forced at n = 16 the walk then steps fewer
+    prefixes than it yields words; without that test it stepped 2.5 million
+    (65,535 when strict)."""
+    steps = []
+    real = words_module._extensions
+    monkeypatch.setattr(words_module, "_extensions", lambda *state: steps.append(state) or real(*state))
+    every_place = 2**15 - 1
+    assert sum(1 for _ in enumerate_cayley(16, every_place)) == 2**15  # one per composition of 16
+    assert len(steps) < 2**15
+    steps.clear()
+    assert list(enumerate_cayley(16, every_place, strict=True)) == [tuple(range(16, 0, -1))]
+    assert len(steps) == 16
+
+
 def test_is_cayley_word():
     assert is_cayley_word(())
     assert is_cayley_word((1, 1, 2))

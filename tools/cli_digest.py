@@ -21,7 +21,9 @@ commands of the benchmark's enumerate-stream workload, two genmat
 commands at size 10 (the only ones whose entries hold a letter of two
 digits), every enumerable object in text, json and csv at sizes 0-2
 (each --binary variant too), the Cayley words and ballots in every
-format at sizes 3-7, argparse's own failures (an unknown
+format at sizes 3-7, the Burge words and matrices in text at sizes 3-7
+(both variants) and the row-sum matrices at size 5 for every ascent
+set (both variants), argparse's own failures (an unknown
 subcommand, a bad choice, a bad integer) and --help, one refused flag,
 three refused --ascents values (unparsable, out of range, and a rows
 mismatch), `oeis` on each sequence against its bundled b-file (the
@@ -38,6 +40,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -134,6 +137,17 @@ def commands() -> list[list[str]]:
         for n in range(3, ENUM_BOUND + 1):
             for fmt in ("text", "json", "csv"):
                 out.append(["enumerate", obj, "--n", str(n), "--format", fmt])
+    # the Burge words and matrices at every size from 3 up to the cap,
+    # in both variants, and the row-sum matrices for every ascent set
+    for obj in ("burge", "mat"):
+        for n in range(3, ENUM_BOUND + 1):
+            for variant in ([], ["--binary"]):
+                if ["enumerate", obj, "--n", str(n), *variant] not in out:
+                    out.append(["enumerate", obj, "--n", str(n), *variant])
+    for r in range(5):
+        for positions in itertools.combinations("1234", r):
+            for variant in ([], ["--binary"]):
+                out.append(["enumerate", "mat", "--n", "5", "--ascents", ",".join(positions), *variant])
     out += [
         ["enumerate", "mat", "--n", "3", "--ascents", "1,x"],
         ["enumerate", "mat", "--n", "3", "--ascents", "7"],
