@@ -270,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=("all",) + tuple(identities.SUITES))
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--max-m", type=int, default=2)
-    p.add_argument("--tail-bound", type=_tail_bound, default="1/2", help="tail bound in (0, 1/2]")
+    p.add_argument(
+        "--tail-bound", type=_tail_bound, help="certified-sum tail bound (gf, all), in (0, 1/2]; default 1/2"
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oeis", parents=[common], help="compare against a b-file")
@@ -444,7 +446,12 @@ def _cmd_verify(args) -> int:
     error = _size_error(args, {"max_n": VERIFY_BOUND_N, "max_m": VERIFY_BOUND_M})
     if error:
         return _fail(f"verify: {error}", 2)
-    results = identities.run_suite(args.suite, args.max_n, args.max_m, args.tail_bound)
+    if args.tail_bound is None:
+        results = identities.run_suite(args.suite, args.max_n, args.max_m)
+    elif args.suite in ("gf", "all"):
+        results = identities.run_suite(args.suite, args.max_n, args.max_m, args.tail_bound)
+    else:
+        return _fail(f"verify {args.suite} does not read --tail-bound (only gf and all have certified sums)", 2)
     # an "error" count appears only when a check raised
     summary = Counter(dict.fromkeys(("pass", "fail", "unconverged"), 0))
     summary.update(r.status for r in results)

@@ -161,15 +161,8 @@ def count_genmat(m: int, n: int, binary: bool = False, method: str = "stirling")
         raise ValueError("count_genmat needs m, n >= 0")
     coef = binomial if binary else multichoose
     if method == "compositions":
-        total = 0
-        for comp in compositions(n):
-            prod = 1
-            for part in comp:
-                prod *= coef(m, part)
-                if not prod:
-                    break
-            total += prod
-        return total
+        fills = [coef(m, p) for p in range(n + 1)]
+        return sum(math.prod(map(fills.__getitem__, comp)) for comp in compositions(n))
     if method == "stirling":
         acc = sum(s * fubini(k) * m**k for k, s in _stirling_row(n, binary))
         return exact_div(acc, math.factorial(n))
@@ -365,12 +358,15 @@ def double_sum_mat(
 
     trunc, tail = _certify(f"double sum for n={n}", tail_at, 2 * n + 8, tail_bound)
     coef = binomial if binary else multichoose
-    # the summand is symmetric in r and s: each r < s stands for two terms
-    num = sum(
-        coef(r * s, n) << (2 * trunc - r - s + (r < s))
-        for r in range(trunc + 1)
-        for s in range(r, trunc + 1)
-    )
+    # the summand is symmetric in r and s: each r < s stands for two terms.
+    # Row r is 2^(trunc-r) (coef(r^2) 2^(trunc-r) + 2 sum_{s>r} coef(rs) 2^(trunc-s)),
+    # its inner sum by Horner's rule over s
+    num = 0
+    for r in range(trunc + 1):
+        diagonal, row = coef(r * r, n), 0
+        for s in range(r + 1, trunc + 1):
+            row = (row << 1) + coef(r * s, n)
+        num += ((diagonal << (trunc - r)) + (row << 1)) << (trunc - r)
     partial = Fraction(num, 1 << (2 * trunc + 2))
     return _integer_within(partial, tail), partial, tail
 
@@ -951,8 +947,10 @@ def check_species_series(max_n: int, max_m: int) -> list[CheckResult]:
         lambda binary, n: {"matrix-ballots": by_mat[binary][n], "count": count_mat(n, binary)},
     )
 
+    blocks = [ballot_block_poly(k) for k in range(order + 1)]
+
     def weighted(binary: bool, s: int, t: int) -> list[int]:
-        series = egf(lambda k: ballot_block_poly(k)(s) * ballot_block_poly(k)(t))
+        series = egf(lambda k: blocks[k](s) * blocks[k](t))
         return series.compose(inner_log[binary]).integer_coefficients()
 
     weights = list(_grid(binary=(False, True), s=range(1, 4), t=range(1, 4)))

@@ -508,15 +508,28 @@ class RatSeries:
         return RatSeries.from_rational(IntPoly((self._den,)), IntPoly(self._nums), self.order)
 
     def compose(self, inner: "RatSeries") -> "RatSeries":
-        """Substitute ``inner`` for x; inner must have zero constant term."""
+        """Substitute ``inner`` for x; inner must have zero constant term.
+
+        Sums c_k inner^k for k <= order, each power one product with
+        inner.  The sum is kept as integer numerators over one running
+        lcm of the powers' denominators and reduced once, at the end.
+        """
         if inner._nums[0]:
             raise NeedsZeroConstantTerm("inner series has nonzero constant term")
         order = min(self.order, inner.order)
-        zeros = [0] * order
-        acc = RatSeries._over([0, *zeros], 1, order)  # each product with inner truncates to order
-        for c in reversed(self._nums[: order + 1]):
-            acc = acc * inner + RatSeries._over([c, *zeros], 1, order)
-        return RatSeries._over(list(acc._nums), acc._den * self._den, order)
+        cs = self._nums
+        acc, den = [cs[0]] + [0] * order, 1
+        power = inner
+        for k in range(1, order + 1):
+            if k > 1:
+                power = power * inner
+            if cs[k]:
+                lcm = math.lcm(den, power._den)
+                up, c = lcm // den, cs[k] * (lcm // power._den)
+                # zip stops at x^order when inner runs to a higher order
+                acc = [a * up + c * p for a, p in zip(acc, power._nums)]
+                den = lcm
+        return RatSeries._over(acc, den * self._den, order)
 
     # -- EGF / OGF views ---------------------------------------------------
 

@@ -632,6 +632,25 @@ def test_verify_tail_bound_reaches_certified_sums(capsys):
     assert "unconverged" in {c["status"] for c in json.loads(out)["checks"]}
 
 
+@pytest.mark.parametrize("suite", ["all", *identities.SUITES])
+def test_verify_refuses_tail_bound_where_no_check_reads_it(capsys, suite):
+    """A suite whose results carry no tail bound refuses --tail-bound with
+    exit 2 and runs no check; gf and all run with it."""
+    _, out, _ = run_cli(capsys, "verify", suite, "--max-n", "1", "--max-m", "1", "--format", "json")
+    reads = any("tail_bound" in c["params"] for c in json.loads(out)["checks"])
+    assert reads == (suite in ("gf", "all"))
+    code, out, err = run_cli(
+        capsys, "verify", suite, "--max-n", "1", "--max-m", "1", "--tail-bound", "1/4", "--format", "json"
+    )
+    if reads:
+        assert code == 0
+        bounds = {c["params"].get("tail_bound") for c in json.loads(out)["checks"]}
+        assert bounds == {None, "1/4"}
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"verify {suite} does not read --tail-bound (only gf and all have certified sums)\n"
+
+
 def test_verify_text_shows_effective_bounds(capsys):
     code, out, _ = run_cli(capsys, "verify", "gf", "--max-n", "8", "--max-m", "8")
     assert code == 0

@@ -291,7 +291,8 @@ def _double_sum_by_fractions(n, binary):
 
 @pytest.mark.parametrize("binary", [False, True])
 def test_double_sum_matches_the_fraction_model(binary):
-    for n in range(13):
+    # every size formula-queries sends to `count mat --method double-sum`
+    for n in range(21):
         assert double_sum_mat(n, binary=binary) == _double_sum_by_fractions(n, binary)
 
 
@@ -328,8 +329,22 @@ _RANDOM_POINTS = settings(max_examples=25, deadline=None, derandomize=True)
 @_RANDOM_POINTS
 @given(st.integers(0, 6), st.integers(0, 30), st.booleans())
 def test_count_genmat_closed_forms_agree_at_random_points(m, n, binary):
-    values = {count_genmat(m, n, binary, method) for method in ("stirling", "inclexcl", "ogf-coefficient")}
+    methods = ("stirling", "inclexcl", "ogf-coefficient") + ("compositions",) * (n <= 16)
+    values = {count_genmat(m, n, binary, method) for method in methods}
     assert len(values) == 1
+
+
+@pytest.mark.parametrize("binary, coef, expected", [(False, "multichoose", 101), (True, "binomial", 44)])
+def test_the_compositions_fill_row_goes_through_the_coefficient_wrappers(monkeypatch, binary, coef, expected):
+    """One more in the fill count of a part of size 2 changes the terms of
+    (2, 2) and the three orders of (2, 1, 1) in the sum over the
+    compositions of 4, and no other method."""
+    real = getattr(identities, coef)
+    before = count_genmat(2, 4, binary, "compositions")
+    monkeypatch.setattr(identities, coef, lambda m, k: real(m, k) + (k == 2))
+    assert before == count_genmat(2, 4, binary, "stirling")
+    assert count_genmat(2, 4, binary, "compositions") == expected
+    assert count_genmat(2, 4, binary, "stirling") == before
 
 
 @_RANDOM_POINTS
@@ -343,6 +358,21 @@ def test_count_mat_matches_the_halving_sum_at_random_points(n, binary):
 def test_caylerian_formula_evaluations_at_random_points(n, strict):
     assert caylerian_formula(n)(1) == fubini(n)
     assert caylerian_formula(n, strict)(2) == count_mat(n, strict)
+
+
+@_RANDOM_POINTS
+@given(st.integers(0, 30), st.booleans())
+def test_two_sided_formula_specialises_at_random_points(n, strict):
+    two_sided = two_sided_formula(n, strict)
+    assert caylerian_from_two_sided(two_sided, n) == caylerian_formula(n, strict)
+    assert two_sided.eval(1, 1) == count_mat(n, strict)
+
+
+@_RANDOM_POINTS
+@given(st.integers(0, 12), st.integers(0, 4))
+def test_species_series_at_random_orders(max_n, max_m):
+    # past the cap of 6 that verify puts on this check
+    assert [r.status for r in identities.check_species_series(max_n, max_m)] == ["pass"]
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
