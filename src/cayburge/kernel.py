@@ -175,44 +175,37 @@ def compositions(n: int) -> Iterator[tuple[int, ...]]:
         parts.append(ones + 1)
 
 
-def weak_compositions(
-    total: int, parts: int, max_part: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Length-``parts`` tuples of nonnegative ints summing to ``total``,
-    each part at most ``max_part``, in decreasing lexicographic order.
+def weak_compositions(totals: tuple[int, ...], parts: int) -> Iterator[tuple[int, ...]]:
+    """Grids of nonnegative ints with ``len(totals)`` rows and ``parts``
+    columns, row i summing to ``totals[i]``, each read column by column
+    into one flat tuple; the tuples come in decreasing lexicographic order.
+    With one row these are the weak compositions of ``totals[0]``.
 
-    One odometer: each step lowers the rightmost part (before the last)
-    whose suffix can take one more, and refills that suffix greedily.
+    One odometer: each step lowers the rightmost entry that has a later
+    entry in its row, and moves each row's rest, plus the one taken, to
+    the row's first place after it.  Every entry in between is 0, so the
+    rest is the row's entry in the last column.
     """
-    if total < 0 or parts < 0:
+    rows = len(totals)
+    if parts < 0 or any(t < 0 for t in totals):
         raise ValueError("weak_compositions needs nonnegative arguments")
-    if parts == 0:
-        if total == 0:
+    if not rows * parts:
+        if not any(totals):
             yield ()
         return
-    cap = total if max_part is None else max_part
-    if total > parts * cap:
-        return
-    a, last, tail = [0] * parts, parts - 1, total
-    i = -1
+    a = list(totals) + [0] * (rows * (parts - 1))
+    last = len(a) - rows  # place of row 0 in the last column
     while True:
-        k = i + 1  # refill a[k:] with the largest parts summing to tail
-        while tail > cap:
-            a[k] = cap
-            tail -= cap
-            k += 1
-        a[k] = tail
-        a[k + 1 :] = [0] * (last - k)
         yield tuple(a)
-        tail = a[last]
-        i = last - 1
-        while i >= 0 and (not a[i] or tail >= (last - i) * cap):
-            tail += a[i]
-            i -= 1
-        if i < 0:
+        p = last - 1
+        while p >= 0 and not a[p]:
+            p -= 1
+        if p < 0:
             return
-        a[i] -= 1
-        tail += 1
+        a[p] -= 1
+        for q in range(p + 1, p + rows + 1):
+            end = last + q % rows
+            a[end], a[q] = 0, a[end] + (q == p + rows)
 
 
 # ---------------------------------------------------------------------------

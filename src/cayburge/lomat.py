@@ -389,13 +389,18 @@ def enumerate_genmat(m: int, n: int, binary: bool = False) -> Iterator[LinOrderM
     """
     if m < 0 or n < 0:
         raise ValueError("enumerate_genmat needs m, n >= 0")
-    cap = 1 if binary else None
+    pools: dict[int, list[tuple[int, ...]]] = {}  # columns by column sum, built once per call
     for colsums in compositions(n):
         k = len(colsums)
-        pools = [list(weak_compositions(c, m, max_part=cap)) for c in colsums]
-        if any(not p for p in pools):
+        for c in set(colsums) - pools.keys():
+            pools[c] = (
+                [tuple(int(i in ones) for i in range(m)) for ones in itertools.combinations(range(m), c)]
+                if binary
+                else list(weak_compositions((c,), m))
+            )
+        if not all(pools[c] for c in colsums):
             continue
-        for columns in itertools.product(*pools):
+        for columns in itertools.product(*(pools[c] for c in colsums)):
             grid = [[columns[j][i] for j in range(k)] for i in range(m)]
             yield from_length_grid(grid)
 
@@ -417,12 +422,13 @@ def enumerate_lomat_direct(m: int, n: int) -> Iterator[LinOrderMatrix]:
     the grid's columns are the cuts.  Kept as an independent route for
     the verification harness.
     """
+    cuts = [list(weak_compositions((size,), m)) for size in range(n + 1)]
     for ballot in enumerate_ballots(n):
         pools = [
             [
                 (order, cut)
                 for order in itertools.permutations(sorted(block))
-                for cut in weak_compositions(len(block), m)
+                for cut in cuts[len(block)]
             ]
             for block in ballot
         ]
@@ -475,9 +481,11 @@ def enumerate_signed(
 
     With ``row_sums_spec`` (an AscentSetSpec) only grids whose row-sum
     vector equals ``row_sums_spec.delta`` are produced; that requires m
-    to be the number of parts of delta.  They are built directly, row i
-    from the weak compositions of delta_i into k parts, and put in the
-    order the unfiltered stream would give them.
+    to be the number of parts of delta.  For each column count k one
+    ``weak_compositions`` call walks the grids, read column by column in
+    decreasing order: one row of m*k places summing to n, or m rows of k
+    places summing to delta.  So the filtered stream is the unfiltered
+    one with the other grids left out, and neither is held in memory.
     """
     if m < 0 or n < 0:
         raise ValueError("enumerate_signed needs m, n >= 0")
@@ -492,16 +500,10 @@ def enumerate_signed(
             raise ValueError(
                 f"delta has {len(want)} parts but the structures have {m} rows"
             )
+    totals, per_column = ((n,), m) if want is None else (want, 1)
     for k in range(n + 1):
-        if want is None:
-            grids = ([flat[i::m] for i in range(m)] for flat in weak_compositions(n, m * k))
-        else:  # column-major flat tuples descending, the order of weak_compositions
-            grids = sorted(
-                itertools.product(*(weak_compositions(d, k) for d in want)),
-                key=lambda grid: tuple(chain.from_iterable(zip(*grid))),
-                reverse=True,
-            )
-        for grid in grids:
+        for flat in weak_compositions(totals, per_column * k):
+            grid = [flat[i::m] for i in range(m)]
             base = from_length_grid(grid)
             choices = [(1,) if any(column) else (1, -1) for column in zip(*grid)]
             for signs in itertools.product(*choices):

@@ -161,41 +161,62 @@ def test_compositions_fixed_parts():
 def test_weak_compositions_counts():
     for total in range(6):
         for parts in range(5):
-            got = list(weak_compositions(total, parts))
+            got = list(weak_compositions((total,), parts))
             assert len(got) == multichoose(parts, total)
             assert len(set(got)) == len(got)
             assert all(len(c) == parts and sum(c) == total for c in got)
-    capped = list(weak_compositions(3, 4, max_part=1))
-    assert len(capped) == math.comb(4, 3)
+    for totals in [(2, 1), (0, 3, 1), (2, 2, 2)]:
+        for parts in range(5):
+            got = list(weak_compositions(totals, parts))
+            assert len(got) == math.prod(multichoose(parts, t) for t in totals)
+            rows = len(totals)
+            assert all(tuple(sum(c[i::rows]) for i in range(rows)) == totals for c in got)
 
 
-def _weak_compositions_recursive(total, parts, max_part=None):
+def _weak_compositions_recursive(total, parts):
     """Reference: choose the first part, largest first, then recurse."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    top = total if max_part is None else min(total, max_part)
-    for first in range(top, -1, -1):
-        for rest in _weak_compositions_recursive(total - first, parts - 1, max_part):
+    for first in range(total, -1, -1):
+        for rest in _weak_compositions_recursive(total - first, parts - 1):
             yield (first,) + rest
 
 
+def _grids_by_rows_sorted(totals, parts):
+    """Reference: every row's compositions combined, each grid read
+    column by column, all sorted in decreasing order."""
+    grids = itertools.product(*(_weak_compositions_recursive(t, parts) for t in totals))
+    return sorted((tuple(itertools.chain.from_iterable(zip(*grid))) for grid in grids), reverse=True)
+
+
 def test_weak_compositions_order_matches_the_recursive_definition():
-    """Same tuples in the same order, with and without a cap on the parts,
-    including no parts at all and caps too small to reach the total."""
+    """One row gives the same tuples in the same order as the recursive
+    definition, including no parts at all."""
     for total in range(7):
         for parts in range(6):
-            for cap in (None, 0, 1, 2, 3):
-                got = weak_compositions(total, parts, max_part=cap)
-                assert inspect.isgenerator(got)
-                want = list(_weak_compositions_recursive(total, parts, cap))
-                assert list(got) == want, (total, parts, cap)
-    assert list(weak_compositions(0, 0, max_part=0)) == [()]
-    assert list(weak_compositions(1, 0)) == []
-    assert list(weak_compositions(4, 3, max_part=1)) == []
+            got = weak_compositions((total,), parts)
+            assert inspect.isgenerator(got)
+            assert list(got) == list(_weak_compositions_recursive(total, parts)), (total, parts)
+    assert list(weak_compositions((0,), 0)) == [()]
+    assert list(weak_compositions((1,), 0)) == []
+    assert list(weak_compositions((), 3)) == [()]
     with pytest.raises(ValueError):
-        next(weak_compositions(-1, 2))
+        next(weak_compositions((-1,), 2))
+    with pytest.raises(ValueError):
+        next(weak_compositions((1,), -1))
+
+
+def test_weak_compositions_of_several_rows_are_the_sorted_product_of_rows():
+    """For every composition delta of n <= 6 and every k <= n the grids
+    are those of each row's compositions combined, in decreasing order of
+    their column-major reading, the order the signed row-sum stream needs."""
+    for n in range(7):
+        for delta in compositions(n):
+            for parts in range(n + 1):
+                got = list(weak_compositions(delta, parts))
+                assert got == _grids_by_rows_sorted(delta, parts), (delta, parts)
 
 
 def test_intpoly_arithmetic():

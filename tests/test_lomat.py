@@ -1,6 +1,7 @@
 """Matrices of linear orders: action, atoms, ballots, signed structures."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -313,6 +314,14 @@ def test_enumerate_genmat_2_2():
     assert got == list(enumerate_genmat(2, 2))  # deterministic
 
 
+def test_binary_genmat_is_the_general_stream_with_entries_at_most_one():
+    for m_rows in range(5):
+        for n in range(7):
+            binary = list(enumerate_genmat(m_rows, n, binary=True))
+            general = [x for x in enumerate_genmat(m_rows, n) if max(itertools.chain(*x.grid), default=0) <= 1]
+            assert [(x.word, x.grid) for x in binary] == [(x.word, x.grid) for x in general]
+
+
 def test_enumerate_genmat_degenerate():
     assert list(enumerate_genmat(0, 0)) == [LinOrderMatrix(())]
     assert list(enumerate_genmat(0, 1)) == []
@@ -338,7 +347,7 @@ def _direct_by_nested_entries(m_rows, n):
         for block in ballot:
             fillings = []
             for order in itertools.permutations(sorted(block)):
-                for cut in weak_compositions(len(block), m_rows):
+                for cut in weak_compositions((len(block),), m_rows):
                     ends = list(itertools.accumulate(cut, initial=0))
                     fillings.append(tuple(order[a:b] for a, b in zip(ends, ends[1:])))
             pools.append(fillings)
@@ -419,6 +428,20 @@ def test_signed_row_sums_equals_the_filtered_full_enumeration():
                 spec = AscentSetSpec(n, S)
                 got = list(enumerate_signed(m, n, row_sums_spec=spec))
                 assert got == filtered[spec.delta], (n, S)
+
+
+def test_the_signed_row_sum_stream_runs_in_bounded_memory():
+    """The whole row-sum stream holds one grid at a time.  Listing and
+    sorting each column count's grids before the first yield would peak
+    near 0.75 MB on this stream."""
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_signed(2, 6, row_sums_spec=AscentSetSpec(6, (3,))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 24_192
+    assert peak < 256 * 1024
 
 
 def test_signed_row_filter():

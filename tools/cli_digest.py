@@ -22,9 +22,10 @@ commands at size 10 (the only ones whose entries hold a letter of two
 digits), every enumerable object in text, json and csv at sizes 0-2
 (each --binary variant too), the Cayley words and ballots in every
 format at sizes 3-7, the Burge words and matrices in text at sizes 3-7
-(both variants) and the row-sum matrices at size 5 for every ascent
-set (both variants), argparse's own failures (an unknown
-subcommand, a bad choice, a bad integer) and --help, one refused flag,
+(both variants), the row-sum matrices at size 5 for every ascent set
+(both variants) and the signed structures with those row sums,
+argparse's own failures (an unknown subcommand, a bad choice, a bad
+integer) and --help, one refused flag,
 three refused --ascents values (unparsable, out of range, and a rows
 mismatch), `oeis` on each sequence against its bundled b-file (the
 default bound, every --max-n up to the cap and one past it, in text,
@@ -138,7 +139,8 @@ def commands() -> list[list[str]]:
             for fmt in ("text", "json", "csv"):
                 out.append(["enumerate", obj, "--n", str(n), "--format", fmt])
     # the Burge words and matrices at every size from 3 up to the cap,
-    # in both variants, and the row-sum matrices for every ascent set
+    # in both variants, and the row-sum matrices (both variants) and
+    # signed structures for every ascent set
     for obj in ("burge", "mat"):
         for n in range(3, ENUM_BOUND + 1):
             for variant in ([], ["--binary"]):
@@ -148,6 +150,8 @@ def commands() -> list[list[str]]:
         for positions in itertools.combinations("1234", r):
             for variant in ([], ["--binary"]):
                 out.append(["enumerate", "mat", "--n", "5", "--ascents", ",".join(positions), *variant])
+            ascents = ["--ascents", ",".join(positions)]
+            out.append(["enumerate", "signed", "--rows", str(r + 1), "--size", "5", *ascents])
     out += [
         ["enumerate", "mat", "--n", "3", "--ascents", "1,x"],
         ["enumerate", "mat", "--n", "3", "--ascents", "7"],
