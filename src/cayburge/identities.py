@@ -508,22 +508,44 @@ def check_word_matrix(max_n: int) -> list[CheckResult]:
 
 
 def check_act_bijection(max_n: int, max_m: int) -> list[CheckResult]:
+    """act(w, A), over every permutation w and normalized A, against the
+    direct construction, with neither route held in memory.
+
+    The action route keeps the bases by grid (a normalized structure is
+    fixed by its grid) and the permutations by rank, and checks that
+    factor_action undoes each image.  The direct route is streamed:
+    each structure x names its pair by x.grid and x.word, and is counted
+    in both only if act rebuilds it from that pair and the pair's byte,
+    one per (base, permutation), was not set before.  So a direct
+    stream that repeats one structure and misses another falls short,
+    and running act again on the direct side makes a wrong act fail on
+    its own.  ``direct`` counts the stream.
+    """
     failures = []
 
     def routes(m: int, n: int) -> dict:
-        unmatched = set(lomat.enumerate_lomat_direct(m, n))
-        direct = len(unmatched)
-        built = 0
-        for base in lomat.enumerate_genmat(m, n):
-            for w in words.enumerate_linear_orders(n):
-                image = lomat.act(w, base)
-                got_w, got_base = lomat.factor_action(image)
+        rank = {w: r for r, w in enumerate(words.enumerate_linear_orders(n))}
+        bases, built = {}, 0
+        for index, base in enumerate(lomat.enumerate_genmat(m, n)):
+            bases[base.grid] = (index, base)
+            for w in rank:
+                got_w, got_base = lomat.factor_action(lomat.act(w, base))
                 if got_w != w or got_base != base:
                     failures.append({"m": m, "n": n, "w": w})
                 built += 1
-                unmatched.discard(image)
-        # equal exactly when the action builds the direct set, each structure once
-        return {"via_action": built, "direct": direct, "in_both": direct - len(unmatched)}
+        marks = bytearray(built)
+        direct = in_both = 0
+        for x in lomat.enumerate_lomat_direct(m, n):
+            direct += 1
+            index, base = bases.get(x.grid, (None, None))
+            r = rank.get(x.word)
+            if base is None or r is None:
+                continue
+            pair = index * len(rank) + r
+            if not marks[pair] and lomat.act(x.word, base) == x:
+                marks[pair] = 1
+                in_both += 1
+        return {"via_action": built, "direct": direct, "in_both": in_both}
 
     params = {"max_n": max_n, "max_m": max_m}
     count_failures = _disagreements(_grid(m=range(max_m + 1), n=range(max_n + 1)), routes)

@@ -433,9 +433,8 @@ def enumerate_lomat_direct(m: int, n: int) -> Iterator[LinOrderMatrix]:
             for block in ballot
         ]
         for columns in itertools.product(*pools):
-            word = tuple(chain.from_iterable(order for order, _ in columns))
-            grid = tuple(tuple(cut[i] for _, cut in columns) for i in range(m))
-            yield LinOrderMatrix(word, grid)
+            orders, pieces = zip(*columns) if columns else ((), ())
+            yield LinOrderMatrix(tuple(chain.from_iterable(orders)), tuple(zip(*pieces)) or ((),) * m)
 
 
 # ---------------------------------------------------------------------------

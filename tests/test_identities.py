@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -552,15 +553,35 @@ def _without_its_first(real):
     return drop_first
 
 
+def _first_in_place_of_its_second(real):
+    def repeat_first(*args, **kwargs):
+        stream = real(*args, **kwargs)
+        first = next(stream, None)
+        if first is None:
+            return
+        yield first
+        if next(stream, None) is not None:
+            yield first
+        yield from stream
+
+    return repeat_first
+
+
 @pytest.mark.parametrize(
-    "route, perturb",
-    [("act", _act_fixing_one_word), ("enumerate_lomat_direct", _without_its_first)],
-    ids=["act-misses-one-image", "direct-loses-one"],
+    "route, perturb, counts_agree",
+    [
+        ("act", _act_fixing_one_word, True),
+        ("enumerate_lomat_direct", _without_its_first, False),
+        ("enumerate_lomat_direct", _first_in_place_of_its_second, True),
+    ],
+    ids=["act-misses-one-image", "direct-loses-one", "direct-repeats-one"],
 )
-def test_action_image_vs_direct_is_load_bearing(monkeypatch, route, perturb):
-    """The action image, streamed against the direct set, still tells the
-    two routes apart when either one is off by a single structure.  The
-    other bijection checks are stubbed out."""
+def test_action_image_vs_direct_is_load_bearing(monkeypatch, route, perturb, counts_agree):
+    """The action image, streamed against the direct route, still tells the
+    two routes apart when either one is off by a single structure.  Where
+    both routes still count the same, only the one mark per (base,
+    permutation) pair can tell.  The other bijection checks are stubbed
+    out."""
     monkeypatch.setattr(lomat, route, perturb(getattr(lomat, route)))
     for check, _, _ in SUITES["bijections"]:
         if check != "check_act_bijection":
@@ -571,6 +592,21 @@ def test_action_image_vs_direct_is_load_bearing(monkeypatch, route, perturb):
     witness = result.witness
     assert {"via_action", "direct", "in_both"} <= set(witness)
     assert witness["in_both"] < max(witness["via_action"], witness["direct"])
+    assert (witness["via_action"] == witness["direct"]) == counts_agree
+
+
+def test_the_action_bijection_check_runs_in_bounded_memory():
+    """Neither route is held: the check keeps the bases, the permutations
+    and one byte per pair.  Holding the direct route as a set peaked near
+    13.1 MB here."""
+    tracemalloc.start()
+    try:
+        results = identities.check_act_bijection(5, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.status for r in results] == ["pass", "pass"]
+    assert peak < 3_000_000
 
 
 def _gamma_setting_leftmost_empty_negative(real):

@@ -362,6 +362,10 @@ def test_enumerate_lomat_direct_order_is_pinned():
             want = list(_direct_by_nested_entries(m_rows, n))
             assert [(x.word, x.grid) for x in got] == [(x.word, x.grid) for x in want]
             assert [x.entries for x in got] == [x.entries for x in want]
+    for m_rows, n in ((1, 5), (2, 5)):  # the bounds verify runs by default
+        got = enumerate_lomat_direct(m_rows, n)
+        want = _direct_by_nested_entries(m_rows, n)
+        assert [(x.word, x.grid) for x in got] == [(x.word, x.grid) for x in want]
 
 
 def test_signed_g_1_2_is_six_structures():
