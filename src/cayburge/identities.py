@@ -100,25 +100,38 @@ def _newton_sum(values: list[int]) -> int:
 def _certify(
     what: str, tail_at: Callable[[int], Fraction | None], start: int, tail_bound: Fraction
 ) -> tuple[int, Fraction]:
-    """The first truncation start * 2^i whose tail is below tail_bound,
+    """The least truncation from start on whose tail is below tail_bound,
     with that tail.
 
     tail_at(trunc) bounds the mass of the terms past trunc, or is None
-    while their ratio is not yet below 1.  tail_bound must lie in
+    while their ratio is not yet below 1; once a truncation certifies,
+    every larger one does.  Truncations double from start until one
+    certifies, then a bisection between the last that failed and the
+    first that passed finds the least.  tail_bound must lie in
     (0, 1/2], so that at most one integer lies within the tail of a
     partial sum (ValueError otherwise); UnconvergedError once the
     truncation passes 4096.
     """
     if not 0 < tail_bound <= Fraction(1, 2):
         raise ValueError("tail_bound must be in (0, 1/2]")
-    trunc = start
-    while True:
+
+    def certified(trunc: int) -> Fraction | None:
         tail = tail_at(trunc)
-        if tail is not None and tail < tail_bound:
-            return trunc, tail
+        return tail if tail is not None and tail < tail_bound else None
+
+    failed, trunc = start - 1, start
+    while (tail := certified(trunc)) is None:
         if trunc > 4096:
             raise UnconvergedError(f"{what} did not certify below {tail_bound}")
-        trunc *= 2
+        failed, trunc = trunc, trunc * 2
+    while trunc - failed > 1:
+        mid = (failed + trunc) // 2
+        mid_tail = certified(mid)
+        if mid_tail is None:
+            failed = mid
+        else:
+            trunc, tail = mid, mid_tail
+    return trunc, tail
 
 
 def _integer_within(partial: Fraction, tail: Fraction) -> int | None:
@@ -316,10 +329,13 @@ def halving_sum(
         return 1 if n == 0 else n * multichoose(m * n, n)
 
     def tail_at(trunc: int) -> Fraction | None:
-        rho = Fraction(crude(trunc + 1), 2 * crude(trunc))
-        if rho >= 1:
+        # the halved term ratio rho = after / (2 now) is below 1 iff d = 2 now - after > 0;
+        # then the tail after / 2^(trunc+2) / (1 - rho) is one fraction
+        now, after = crude(trunc), crude(trunc + 1)
+        d = 2 * now - after
+        if d <= 0:
             return None
-        return Fraction(crude(trunc + 1), 1 << (trunc + 2)) / (1 - rho)
+        return Fraction(now * after, d << (trunc + 1))
 
     trunc, tail = _certify(f"halving sum for n={n}", tail_at, 2 * n + 8, tail_bound)
     num = sum(count_genmat(m, n, binary=binary) << (trunc - m) for m in range(trunc + 1))
@@ -348,13 +364,15 @@ def double_sum_mat(
     """
 
     def tail_at(trunc: int) -> Fraction | None:
-        rho = Fraction((trunc + n + 2) ** n, 2 * (trunc + n + 1) ** n)
-        if rho >= 1:
+        # with a = f(trunc+1) 2^(trunc+1), each ratio f(r+1)/f(r) for r > trunc is at most
+        # rho = (trunc+n+2)^n / 2a, below 1 iff d = 2a - (trunc+n+2)^n > 0; then
+        # T = a^2 / (2^trunc d) and S = head / 2^trunc, so the tail 2T(S+T) / (4 n!) is one fraction
+        a = (trunc + n + 1) ** n
+        d = 2 * a - (trunc + n + 2) ** n
+        if d <= 0:
             return None
-        tail_f = Fraction((trunc + 1 + n) ** n, 1 << (trunc + 1)) / (1 - rho)
         head = sum((r + n) ** n << (trunc - r) for r in range(trunc + 1))
-        s_all = Fraction(head, 1 << trunc) + tail_f
-        return 2 * tail_f * s_all / (4 * math.factorial(n))
+        return Fraction(a * a * (head * d + a * a), (d * d * math.factorial(n)) << (2 * trunc + 1))
 
     trunc, tail = _certify(f"double sum for n={n}", tail_at, 2 * n + 8, tail_bound)
     coef = binomial if binary else multichoose
@@ -488,21 +506,29 @@ def check_cayley_ballot(max_n: int) -> list[CheckResult]:
 
 
 def check_word_matrix(max_n: int) -> list[CheckResult]:
-    """Burge biword <-> matrix bijection, both variants, both directions;
-    onto when the distinct images number |Mat[n]| by the closed form."""
+    """Burge biword <-> matrix bijection, both variants, both directions.
+
+    The words come in strictly increasing order, so none repeats, and
+    two words with one image cannot both round-trip; so the words that
+    round-trip have distinct images, and the map is onto when they
+    number |Mat[n]| by the closed form.  No image is held in memory.
+    """
     failures = []
     for binary in (False, True):
         for n in range(max_n + 1):
-            seen = set()
+            images, last = 0, None
             for bw in burge.enumerate_burge(n, binary=binary):
                 mat = burge.word_to_matrix(bw)
-                if not burge.is_burge_matrix(mat, binary=binary):
+                if last is not None and bw <= last:
+                    failures.append({"n": n, "binary": binary, "word": bw, "bad": "order"})
+                elif not burge.is_burge_matrix(mat, binary=binary):
                     failures.append({"n": n, "binary": binary, "word": bw, "bad": "image"})
-                    continue
-                if burge.matrix_to_word(mat) != bw:
+                elif burge.matrix_to_word(mat) != bw:
                     failures.append({"n": n, "binary": binary, "word": bw, "bad": "roundtrip"})
-                seen.add(mat)
-            if len(seen) != count_mat(n, binary):
+                else:
+                    images += 1
+                last = bw
+            if images != count_mat(n, binary):
                 failures.append({"n": n, "binary": binary, "bad": "image set"})
     return [_verdict("burge-word-matrix-bijection", {"max_n": max_n}, failures)]
 
@@ -677,9 +703,8 @@ def check_tau_row_complete(max_n: int) -> list[CheckResult]:
     def routes(n: int) -> dict:
         perms = list(words.enumerate_linear_orders(n))
         signed = sum(
-            lomat.xi_atoms(lomat.act(w, base))
+            sum(map(lomat.xi_atoms, map(lomat.act, perms, itertools.repeat(base))))
             for base in map(lomat.from_length_grid, burge.enumerate_mat(n))
-            for w in perms
         )
         return {"signed": signed, "formula": math.factorial(n) * count_mat(n, binary=True)}
 

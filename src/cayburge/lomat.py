@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from operator import attrgetter
+from itertools import accumulate, chain, repeat
+from operator import attrgetter, itemgetter
 from typing import Iterator, Sequence
 
 from .kernel import compositions, weak_compositions
@@ -106,11 +106,18 @@ class LinOrderMatrix:
                 entries = self._word
                 self._grid = tuple([tuple(map(len, row)) for row in entries])
                 self._word = tuple(chain.from_iterable(chain.from_iterable(zip(*entries))))
-            if min(chain.from_iterable(self._grid), default=0) < 0:
-                raise ValueError("negative entry length")
-            if len(set(map(len, self._grid))) > 1:
+            grid = self._grid
+            width, ragged, size = len(grid[0]) if grid else 0, False, 0
+            for row in grid:  # one pass; a negative length wins over a ragged row
+                if row and min(row) < 0:
+                    raise ValueError("negative entry length")
+                if len(row) != width:
+                    ragged = True
+                size += sum(row)
+            if ragged:
                 raise ValueError("ragged matrix")
-        size = sum(map(sum, self._grid)) if layout is None else layout.size
+        else:
+            size = layout.size
         if size != len(self._word):
             raise ValueError(f"entry lengths do not add up to the {len(self._word)} letters")
 
@@ -152,31 +159,33 @@ class _Layout:
 
     ``size`` is the number of letters; ``cells`` lists the nonempty
     entries in prod order as (start, end, column, row) offsets into the
-    word; ``first[p]`` says that offset p starts an entry; ``swap`` is
-    the offset tau swaps at (None when every entry has length <= 1);
-    ``full_rows`` says that no row is empty.
+    word; ``long`` lists the (start, end) of the entries of length >= 2,
+    in prod order, the only ones whose atoms need a scan; ``swap`` is
+    the offset tau swaps at, the first long entry's start (None when
+    every entry has length <= 1); ``full_rows`` says that no row is
+    empty.
     """
 
-    __slots__ = ("size", "cells", "first", "swap", "full_rows")
+    __slots__ = ("size", "cells", "long", "swap", "full_rows")
 
     def __init__(self, grid: tuple[tuple[int, ...], ...]):
-        height, pos, cells, first, swap = len(grid), 0, [], [], None
+        height, pos, cells, long = len(grid), 0, [], []
         for k, length in enumerate(chain.from_iterable(zip(*grid))):
             if length:
                 cells.append((pos, pos + length, *divmod(k, height)))
-                first += [True] + [False] * (length - 1)
-                if swap is None and length >= 2:
-                    swap = pos
+                if length >= 2:
+                    long.append((pos, pos + length))
                 pos += length
         self.size = pos
         self.cells = cells
-        self.first = tuple(first)
-        self.swap = swap
+        self.long = long
+        self.swap = long[0][0] if long else None
         self.full_rows = all(map(any, grid))
 
 
 def _layout(m: LinOrderMatrix) -> _Layout:
-    """m's layout, derived from its grid on first use."""
+    """m's layout, derived from its grid on first use; hot paths read
+    ``m._layout or _layout(m)`` so that a derived one costs no call."""
     if m._layout is None:
         m._layout = _Layout(m._grid)
     return m._layout
@@ -197,9 +206,12 @@ def prod(m: LinOrderMatrix) -> Word:
 
 def act(w: Word, m: LinOrderMatrix) -> LinOrderMatrix:
     """Replace every letter c by w(c).  Needs len(w) == len(prod(m))."""
-    if len(w) != len(m._word):
-        raise ValueError(f"word of length {len(w)} cannot act on size {len(m._word)}")
-    return LinOrderMatrix(tuple([w[c - 1] for c in m._word]), m._grid, _layout(m))
+    word = m._word
+    if len(w) != len(word):
+        raise ValueError(f"word of length {len(w)} cannot act on size {len(word)}")
+    # w(c) is ((0,) + w)[c]: one itemgetter call reads them all, and returns a tuple for two or more
+    image = itemgetter(*word)((0,) + w) if len(word) > 1 else tuple([w[c - 1] for c in word])
+    return LinOrderMatrix(image, m._grid, m._layout or _layout(m))
 
 
 def factor_action(m: LinOrderMatrix) -> tuple[Word, LinOrderMatrix]:
@@ -231,12 +243,17 @@ def atoms(m: LinOrderMatrix) -> list[Word]:
 
 
 def atom_count(m: LinOrderMatrix) -> int:
-    """Number of left-to-right minima, counted within each entry."""
-    total = lo = 0
-    for first, c in zip(_layout(m).first, m._word):
-        if first or c < lo:  # the first letter of an entry, or a new minimum
-            total += 1
-            lo = c
+    """Number of left-to-right minima, counted within each entry: one
+    per nonempty entry, plus each new minimum after the first letter of
+    an entry of length >= 2."""
+    layout, word = m._layout or _layout(m), m._word
+    total = len(layout.cells)
+    for start, end in layout.long:
+        lo = word[start]
+        for c in word[start + 1 : end]:
+            if c < lo:
+                total += 1
+                lo = c
     return total
 
 
@@ -313,7 +330,7 @@ def to_atom_ballot(m: LinOrderMatrix, row_mode: str = "color") -> AtomBallot:
     word = m._word
     columns: list[list[Word]] = [[] for _ in range(m.cols)]
     pairs: list[tuple[Word, int]] = []  # (atom, 1-based row) in prod order
-    for start, end, j, i in _layout(m).cells:
+    for start, end, j, i in (m._layout or _layout(m)).cells:
         column, lo, i = columns[j], word[start], i + 1
         for p in range(start + 1, end):  # cut before each new left-to-right minimum
             if word[p] < lo:
@@ -409,8 +426,7 @@ def enumerate_lomat(m: int, n: int) -> Iterator[LinOrderMatrix]:
     """All m-row structures on {1..n}: permutations acting on normalized ones."""
     perms = list(enumerate_linear_orders(n))
     for base in enumerate_genmat(m, n):
-        for w in perms:
-            yield act(w, base)
+        yield from map(act, perms, repeat(base))
 
 
 def enumerate_lomat_direct(m: int, n: int) -> Iterator[LinOrderMatrix]:

@@ -258,6 +258,29 @@ def test_halving_sum_unconverged():
         halving_sum(2, tail_bound=Fraction(1, 2**9000))
 
 
+@pytest.mark.parametrize("tail_bound", [Fraction(1, 2), Fraction(1, 1000)])
+def test_certified_sums_stop_at_the_least_truncation(monkeypatch, tail_bound):
+    """Both certified sums, n <= 20: the truncation returned certifies,
+    and the one below it does not, unless it is the first tried."""
+    calls = []
+    real = identities._certify
+
+    def recording(what, tail_at, start, bound):
+        trunc, tail = real(what, tail_at, start, bound)
+        calls.append((tail_at, start, trunc, tail))
+        return trunc, tail
+
+    monkeypatch.setattr(identities, "_certify", recording)
+    for n in range(21):
+        halving_sum(n, tail_bound=tail_bound)
+        double_sum_mat(n, tail_bound=tail_bound)
+    assert len(calls) == 42
+    for tail_at, start, trunc, tail in calls:
+        assert tail_at(trunc) == tail < tail_bound
+        below = tail_at(trunc - 1)
+        assert trunc == start or below is None or below >= tail_bound
+
+
 def test_double_sum_values():
     for n in range(21):
         for binary in (False, True):
@@ -710,6 +733,26 @@ def test_word_matrix_image_is_counted_against_the_closed_form(monkeypatch):
     (result,) = identities.check_word_matrix(3)
     assert result.status == "fail"
     assert result.witness["bad"] == "image set"
+
+
+def test_word_matrix_check_fails_when_two_words_share_an_image(monkeypatch):
+    """No image is held, yet a word_to_matrix that sends two words to one
+    matrix fails: the second word does not round-trip."""
+    first, second = itertools.islice(burge.enumerate_burge(3), 2)
+    real = burge.word_to_matrix
+    monkeypatch.setattr(burge, "word_to_matrix", lambda bw: real(first if bw == second else bw))
+    (result,) = identities.check_word_matrix(3)
+    assert result.status == "fail"
+    assert result.witness == {"n": 3, "binary": False, "word": second, "bad": "roundtrip"}
+
+
+def test_word_matrix_check_fails_on_a_repeated_word(monkeypatch):
+    """A Burge stream that repeats one word in place of the next keeps the
+    count and every round trip; only its strictly increasing order tells."""
+    monkeypatch.setattr(burge, "enumerate_burge", _first_in_place_of_its_second(burge.enumerate_burge))
+    (result,) = identities.check_word_matrix(3)
+    assert result.status == "fail"
+    assert result.witness["bad"] == "order"
 
 
 def test_certified_checks_honour_the_tail_bound():

@@ -92,6 +92,23 @@ def test_atoms_of_worked_example():
     assert xi_atoms(M) == 1  # (-1)^(9-7)
 
 
+@pytest.mark.parametrize("binary", [False, True], ids=["general", "binary"])
+def test_atom_count_matches_split_atoms_over_the_burge_grids(binary):
+    """Every structure on every Burge grid of size <= 4; the binary grids
+    have no entry of length >= 2, so their count needs no scan."""
+    for n in range(5):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for grid in enumerate_mat(n, binary=binary):
+            base = from_length_grid(grid)
+            for w in perms:
+                mat = act(w, base)
+                cut = sum(len(split_atoms(e)) for row in mat.entries for e in row)
+                assert atom_count(mat) == cut
+                assert xi_atoms(mat) == (-1) ** (n - cut)
+                if binary:
+                    assert cut == n and xi_atoms(mat) == 1
+
+
 def test_atom_ballot_color_mode():
     ballot = to_atom_ballot(M)
     assert ballot.columns == (
@@ -301,6 +318,23 @@ def test_constructor_checks_the_grid():
         from_length_grid(((2, -1),))
     with pytest.raises(ValueError, match="^negative entry length$"):
         LinOrderMatrix((1,), ((2, -1),))
+
+
+def test_grid_check_reports_a_negative_length_before_a_ragged_row():
+    for grid in (((1, -1), (3,)), ((3,), (1, -1)), ((-1,), (1, 2, 1))):
+        with pytest.raises(ValueError, match="^negative entry length$"):
+            LinOrderMatrix((1, 2, 3), grid)
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        LinOrderMatrix((1, 2, 3), ((1, 1), (1,), ()))
+
+
+@pytest.mark.parametrize("grid", [(), ((),), ((0, 0),), ((0,), (0,))])
+def test_grid_check_takes_grids_with_no_letters(grid):
+    mat = LinOrderMatrix((), grid)
+    assert mat.grid == grid and mat.rows == len(grid) and prod(mat) == ()
+    assert atom_count(mat) == 0 and xi_atoms(mat) == 1 and tau(mat) is mat and act((), mat) == mat
+    with pytest.raises(ValueError, match="^entry lengths do not add up to the 1 letters$"):
+        LinOrderMatrix((1,), grid)
 
 
 def test_enumerate_genmat_2_2():
