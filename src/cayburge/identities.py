@@ -75,8 +75,7 @@ def _stirling_row(n: int, strict: bool) -> list[tuple[int, int]]:
     function sum_k f_k y^k / k! composed with L is the sum of s * f_k
     over the row, divided by n!: each closed form below is such a sum.
     """
-    row = [(k, stirling1(n, k)) for k in range(n + 1)]
-    return [(k, -s if strict and (n - k) % 2 else s) for k, s in row if s]
+    return [(k, -s if strict and (n - k) % 2 else s) for k, s in enumerate(stirling1(n)) if s]
 
 
 def _newton_sum(values: list[int]) -> int:
@@ -222,21 +221,19 @@ def caylerian_formula(n: int, strict: bool = False) -> IntPoly:
     """Descent polynomial of Cay[n] without enumerating words.
 
     fub(k) sum_i S(k,i) i! (t-1)^(n-i) summed over the Stirling row,
-    strict in the strict case.
+    strict in the strict case: the weight of each (t-1)^(n-i) is summed
+    over the row first, then the powers by Horner's rule in t - 1.
     """
     if n < 0:
         raise ValueError("caylerian_formula needs n >= 0")
-    tm1_pows = [IntPoly((1,))]
-    for _ in range(n):
-        tm1_pows.append(tm1_pows[-1] * IntPoly((-1, 1)))
-    acc = IntPoly()
+    weights = [0] * (n + 1)
     for k, s in _stirling_row(n, strict):
-        inner = IntPoly()
+        c = s * fubini(k)
         for i in range(k + 1):
-            c = stirling2(k, i) * math.factorial(i)
-            if c:
-                inner = inner + c * tm1_pows[n - i]
-        acc = acc + (s * fubini(k)) * inner
+            weights[i] += c * stirling2(k, i)
+    acc = IntPoly()
+    for i, w in enumerate(weights):
+        acc = acc * IntPoly((-1, 1)) + IntPoly((w * math.factorial(i),))
     return acc.divide_exact(math.factorial(n))
 
 
@@ -323,7 +320,12 @@ def halving_sum(
     [partial, partial + tail] and tail < tail_bound.  The tail uses the
     crude bound count(m, n) <= n * multichoose(mn, n), whose halved
     term ratio is eventually below 1.
+
+    Each count(m, n) is sum_i w_i coef(m i, n) by inclusion-exclusion on
+    empty columns, w_i = sum_{j>=i} (-1)^(j-i) C(j, i): no Stirling row.
     """
+    coef = binomial if binary else multichoose
+    w = [sum((-1) ** (j - i) * binomial(j, i) for j in range(i, n + 1)) for i in range(n + 1)]
 
     def crude(m: int) -> int:
         return 1 if n == 0 else n * multichoose(m * n, n)
@@ -338,7 +340,7 @@ def halving_sum(
         return Fraction(now * after, d << (trunc + 1))
 
     trunc, tail = _certify(f"halving sum for n={n}", tail_at, 2 * n + 8, tail_bound)
-    num = sum(count_genmat(m, n, binary=binary) << (trunc - m) for m in range(trunc + 1))
+    num = sum(sum(c * coef(m * i, n) for i, c in enumerate(w)) << (trunc - m) for m in range(trunc + 1))
     return Fraction(num, 1 << (trunc + 1)), tail
 
 
@@ -957,25 +959,24 @@ def check_species_series(max_n: int, max_m: int) -> list[CheckResult]:
       Bal(m log(1+x))                    -> binary m-row counts,
       sum_k fub(k)^2 y^k/k! at both logs -> matrix counts,
       the (s,t)-weighted variant         -> two-sided polynomials.
+
+    Bal(m L) is composed as sum_k fub(k) m^k y^k/k! at y = L, so the
+    powers of each log, kept on it by compose, serve every EGF of the call.
     """
     order = max_n
     inner_log = {False: RatSeries.log_geometric(order), True: RatSeries.log_one_plus_x(order)}
-
-    def egf(weight: Callable[[int], int]) -> RatSeries:
-        coeffs = [Fraction(weight(k), math.factorial(k)) for k in range(order + 1)]
-        return RatSeries(coeffs, order=order)
-
-    bal = egf(fubini)
+    fubs = [fubini(k) for k in range(order + 1)]
+    one, geometric = RatSeries([1], order=order), RatSeries.geometric(order)
 
     def row_series(m: int, binary: bool) -> dict:
-        one = RatSeries([1], order=order)
         if binary:
             inner = RatSeries((IntPoly((1, 1)) ** m).coeffs, order=order) - one
         else:
             inner = RatSeries.from_rational(IntPoly((1,)), IntPoly((1, -1)) ** m, order) - one
+        bal_m = RatSeries.from_egf([f * m**k for k, f in enumerate(fubs)], order)
         return {
-            "linear-orders": RatSeries.geometric(order).compose(inner).integer_coefficients(),
-            "atom-ballots": bal.compose(m * inner_log[binary]).integer_coefficients(),
+            "linear-orders": geometric.compose(inner).integer_coefficients(),
+            "atom-ballots": bal_m.compose(inner_log[binary]).integer_coefficients(),
         }
 
     by_rows = {(m, b): row_series(m, b) for m in range(max_m + 1) for b in (False, True)}
@@ -987,7 +988,7 @@ def check_species_series(max_n: int, max_m: int) -> list[CheckResult]:
         },
     )
 
-    mat_egf = egf(lambda k: fubini(k) ** 2)
+    mat_egf = RatSeries.from_egf([f * f for f in fubs], order)
     by_mat = {b: mat_egf.compose(inner_log[b]).integer_coefficients() for b in (False, True)}
     failures += _disagreements(
         _grid(binary=(False, True), n=range(order + 1)),
@@ -995,13 +996,16 @@ def check_species_series(max_n: int, max_m: int) -> list[CheckResult]:
     )
 
     blocks = [ballot_block_poly(k) for k in range(order + 1)]
-
-    def weighted(binary: bool, s: int, t: int) -> list[int]:
-        series = egf(lambda k: blocks[k](s) * blocks[k](t))
-        return series.compose(inner_log[binary]).integer_coefficients()
-
+    weighted = {
+        (s, t): RatSeries.from_egf([p(s) * p(t) for p in blocks], order)
+        for s, t in itertools.product(range(1, 4), repeat=2)
+    }
+    by_weight = {
+        (b, s, t): egf.compose(inner_log[b]).integer_coefficients()
+        for b in (False, True)
+        for (s, t), egf in weighted.items()
+    }
     weights = list(_grid(binary=(False, True), s=range(1, 4), t=range(1, 4)))
-    by_weight = {tuple(w.values()): weighted(**w) for w in weights}
     two_sided = {(b, n): two_sided_formula(n, b) for b in (False, True) for n in range(order + 1)}
     failures += _disagreements(
         ({**w, "n": n} for w in weights for n in range(order + 1)),

@@ -103,12 +103,15 @@ def multichoose(m: int, n: int) -> int:
     return math.comb(m + n - 1, n)
 
 
-def stirling1(n: int, k: int) -> int:
-    """Unsigned Stirling number of the first kind: permutations of [n] with k cycles."""
-    if n < 0 or k < 0:
+def stirling1(n: int, k: int | None = None) -> int | list[int]:
+    """Unsigned Stirling number of the first kind: permutations of [n] with
+    k cycles; with k omitted, the whole row c(n, 0..n), as a new list."""
+    if n < 0 or (k is not None and k < 0):
         raise ValueError(f"stirling1 needs nonnegative arguments, got ({n}, {k})")
     if n >= len(_S1):
         _grow_stirling(n)
+    if k is None:
+        return _S1[n][:]
     return _S1[n][k] if k <= n else 0
 
 
@@ -373,9 +376,10 @@ class RatSeries:
     and every numerator is 1).  That form is unique, so equality and
     hashing compare integers, and each operation reduces once instead of
     once per coefficient.  ``coeffs`` reads them back as Fractions.
+    ``compose`` keeps an inner series' powers in ``_powers``, which equality ignores.
     """
 
-    __slots__ = ("order", "_nums", "_den")
+    __slots__ = ("order", "_nums", "_den", "_powers")
 
     def __init__(self, coeffs: Iterable, order: int):
         cs = [Fraction(c) for c in coeffs]
@@ -399,6 +403,7 @@ class RatSeries:
         # tuples pile up on the interpreter's tuple free lists
         object.__setattr__(self, "_nums", tuple(nums if g == 1 else [c // g for c in nums]))
         object.__setattr__(self, "_den", den // g)
+        object.__setattr__(self, "_powers", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatSeries is immutable")
@@ -411,8 +416,15 @@ class RatSeries:
         return cls([1] * (order + 1), order=order)
 
     @classmethod
+    def from_egf(cls, weights: Iterable[int], order: int) -> "RatSeries":
+        """sum_k w_k x^k / k!, as the numerators w_k order!/k! over order!."""
+        top = math.factorial(order)
+        nums = [w * (top // math.factorial(k)) for k, w in zip(range(order + 1), weights)]
+        return cls._over(nums + [0] * (order + 1 - len(nums)), top, order)
+
+    @classmethod
     def exp(cls, order: int) -> "RatSeries":
-        return cls([Fraction(1, math.factorial(n)) for n in range(order + 1)], order=order)
+        return cls.from_egf([1] * (order + 1), order)
 
     @classmethod
     def log_one_plus_x(cls, order: int) -> "RatSeries":
@@ -503,19 +515,21 @@ class RatSeries:
     def compose(self, inner: "RatSeries") -> "RatSeries":
         """Substitute ``inner`` for x; inner must have zero constant term.
 
-        Sums c_k inner^k for k <= order, each power one product with
-        inner.  The sum is kept as integer numerators over one running
-        lcm of the powers' denominators and reduced once, at the end.
+        Sums c_k inner^k for k <= order.  The powers of inner are kept on
+        it, each one product with inner, for every later compose with it.
+        The sum is kept as integer numerators over one running lcm of the
+        powers' denominators and reduced once, at the end.
         """
         if inner._nums[0]:
             raise NeedsZeroConstantTerm("inner series has nonzero constant term")
         order = min(self.order, inner.order)
+        powers = inner._powers or [inner]
+        while len(powers) < order:
+            powers.append(powers[-1] * inner)
+        object.__setattr__(inner, "_powers", powers)
         cs = self._nums
         acc, den = [cs[0]] + [0] * order, 1
-        power = inner
-        for k in range(1, order + 1):
-            if k > 1:
-                power = power * inner
+        for k, power in zip(range(1, order + 1), powers):
             if cs[k]:
                 lcm = math.lcm(den, power._den)
                 up, c = lcm // den, cs[k] * (lcm // power._den)

@@ -824,6 +824,28 @@ def test_closed_form_summations_are_load_bearing(
     assert set(routes) <= set(results[name].witness)
 
 
+def _top_entry_plus_factorial(real):
+    def row(n, strict):
+        out = real(n, strict)
+        if n >= 2:
+            k, s = out[-1]
+            out = [*out[:-1], (k, s + math.factorial(n))]
+        return out
+
+    return row
+
+
+def test_halving_check_catches_a_wrong_stirling_row(monkeypatch):
+    """count and newton both read the Stirling row; the certified sum reads
+    none, so it keeps the true value and the check fails at the first n
+    whose row is wrong."""
+    monkeypatch.setattr(identities, "_stirling_row", _top_entry_plus_factorial(identities._stirling_row))
+    general, binary = identities.check_halving(3)
+    assert general.status == binary.status == "fail"
+    assert general.witness == {"n": 2, "count": 14, "certified": 5, "newton": 14}
+    assert binary.witness == {"n": 2, "count": 13, "certified": 4, "newton": 13}
+
+
 def _ascent_set_changed_at_121(change, weak_only=False):
     def perturb(real):
         def ascent_set(w, strict=False):

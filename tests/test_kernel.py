@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cayburge.kernel import (
     BiPoly,
@@ -82,6 +82,16 @@ def test_stirling1_against_cycle_counts():
         perms = list(itertools.permutations(range(1, n + 1)))
         for k in range(n + 2):
             assert stirling1(n, k) == sum(1 for p in perms if cycle_count(p) == k)
+
+
+def test_stirling1_without_k_reads_the_row():
+    for n in range(9):
+        row = stirling1(n)
+        assert row == [stirling1(n, k) for k in range(n + 1)]
+        row[-1] += 1  # a copy: the table is not changed through it
+        assert stirling1(n, n) == 1
+    with pytest.raises(ValueError):
+        stirling1(-1)
 
 
 def test_fubini_equals_stirling2_row():
@@ -390,7 +400,16 @@ def test_ratseries_matches_the_list_model(a, order_a, b, order_b, q, k):
         _agrees(x * scalar, [u * scalar for u in ma])
         _agrees(scalar * x, [scalar * u for u in ma])
     inner = RatSeries([0, *b], order=order_b)
-    _agrees(x.compose(inner), _model_compose(ma, _model([0, *b], order_b)))
+    m_inner = _model([0, *b], order_b)
+    _agrees(x.compose(inner), _model_compose(ma, m_inner))
+    # the powers kept on inner serve a later compose at a lower order, and
+    # grow for one at a higher order
+    for order in (max(min(order_a, order_b) - 1, 0), order_b):
+        _agrees(RatSeries(a[::-1], order=order).compose(inner), _model_compose(_model(a[::-1], order), m_inner))
+    fresh = RatSeries([0, *b], order=order_b)
+    assert inner == fresh and hash(inner) == hash(fresh)
+    with pytest.raises(AttributeError):
+        inner._powers = None
     if mb[0]:
         with pytest.raises(NeedsZeroConstantTerm):
             x.compose(y)
@@ -399,6 +418,17 @@ def test_ratseries_matches_the_list_model(a, order_a, b, order_b, q, k):
     else:
         with pytest.raises(NeedsUnitConstantTerm):
             x.invert_unit()
+
+
+@example([], 0)
+@example([0, 0, 0], 2)
+@example([-3, 0, 5, -7], 6)
+@given(st.lists(st.integers(-50, 50), max_size=8), orders)
+def test_from_egf_divides_each_weight_by_its_factorial(weights, order):
+    model = _model([Fraction(w, math.factorial(k)) for k, w in enumerate(weights)], order)
+    _agrees(RatSeries.from_egf(weights, order), model)
+    exp = RatSeries([Fraction(1, math.factorial(k)) for k in range(order + 1)], order=order)
+    assert RatSeries.exp(order) == exp and hash(RatSeries.exp(order)) == hash(exp)
 
 
 def test_ratseries_has_one_form_per_series():
