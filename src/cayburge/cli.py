@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import os
@@ -460,7 +459,7 @@ def _cmd_verify(args) -> int:
             "suite": args.suite,
             "max_n": args.max_n,
             "max_m": args.max_m,
-            "checks": [dataclasses.asdict(r) for r in results],
+            "checks": [vars(r) for r in results],
             "summary": summary,
         }
         print(json.dumps(payload, sort_keys=True))

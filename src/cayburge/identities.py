@@ -163,7 +163,10 @@ def count_genmat(m: int, n: int, binary: bool = False, method: str = "stirling")
 
     Methods:
       compositions     sum over compositions of n of a product of
-                       per-column fill counts,
+                       per-column fill counts, split at the part that
+                       covers the unit h = ceil(n/2): the parts before
+                       and after it are summed over compositions of
+                       sizes at most n // 2,
       stirling         the Stirling row (strict when binary) of fub(k) m^k,
       inclexcl         inclusion-exclusion on empty columns,
       ogf-coefficient  coefficient extraction from genmat_ogf,
@@ -173,8 +176,12 @@ def count_genmat(m: int, n: int, binary: bool = False, method: str = "stirling")
         raise ValueError("count_genmat needs m, n >= 0")
     coef = binomial if binary else multichoose
     if method == "compositions":
+        # the part covering unit h spans (i, k] with i < h <= k; n = 0 has
+        # only the empty composition, which covers no unit
         fills = [coef(m, p) for p in range(n + 1)]
-        return sum(math.prod(map(fills.__getitem__, comp)) for comp in compositions(n))
+        side = [sum(math.prod(map(fills.__getitem__, c)) for c in compositions(j)) for j in range(n // 2 + 1)]
+        h = (n + 1) // 2
+        return sum(side[i] * fills[k - i] * side[n - k] for i in range(h) for k in range(h, n + 1)) if n else 1
     if method == "stirling":
         acc = sum(s * fubini(k) * m**k for k, s in _stirling_row(n, binary))
         return exact_div(acc, math.factorial(n))
@@ -231,10 +238,11 @@ def caylerian_formula(n: int, strict: bool = False) -> IntPoly:
         c = s * fubini(k)
         for i in range(k + 1):
             weights[i] += c * stirling2(k, i)
-    acc = IntPoly()
+    acc: list[int] = []
     for i, w in enumerate(weights):
-        acc = acc * IntPoly((-1, 1)) + IntPoly((w * math.factorial(i),))
-    return acc.divide_exact(math.factorial(n))
+        # acc * (t - 1) + w * i!, ascending coefficients
+        acc = [a - b for a, b in zip([w * math.factorial(i)] + acc, acc + [0])]
+    return IntPoly(acc).divide_exact(math.factorial(n))
 
 
 def two_sided_formula(n: int, strict: bool = False) -> BiPoly:

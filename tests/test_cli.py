@@ -1,12 +1,14 @@
 """Command line interface: output formats, bounds, exit codes, fixtures."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import cycle, islice, product
 from pathlib import Path
 
@@ -591,6 +593,23 @@ def test_verify_pass_and_formats(capsys):
     assert payload["summary"]["fail"] == 0
     names = [c["name"] for c in payload["checks"]]
     assert "carlitz-pairing" in names
+
+
+@pytest.mark.parametrize(
+    "suite, max_n, max_m",
+    [(suite, 3, 2) for suite in ("all", *identities.SUITES)] + [(suite, 8, 8) for suite in ("pairing", "gf", "kernel")],
+)
+def test_verify_json_is_the_dump_of_the_check_records(capsys, suite, max_n, max_m):
+    """verify --format json prints the check records exactly as
+    dataclasses.asdict copies of them would dump."""
+    argv = ("verify", suite, "--max-n", str(max_n), "--max-m", str(max_m), "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    results = identities.run_suite(suite, max_n, max_m)
+    summary = Counter(dict.fromkeys(("pass", "fail", "unconverged"), 0))
+    summary.update(r.status for r in results)
+    checks = [dataclasses.asdict(r) for r in results]
+    payload = {"suite": suite, "max_n": max_n, "max_m": max_m, "checks": checks, "summary": summary}
+    assert code == 0 and out == json.dumps(payload, sort_keys=True) + "\n"
 
 
 def test_verify_refuses_csv_before_any_check_runs(capsys, monkeypatch):

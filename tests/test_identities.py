@@ -353,9 +353,26 @@ _RANDOM_POINTS = settings(max_examples=25, deadline=None, derandomize=True)
 @_RANDOM_POINTS
 @given(st.integers(0, 6), st.integers(0, 30), st.booleans())
 def test_count_genmat_closed_forms_agree_at_random_points(m, n, binary):
-    methods = ("stirling", "inclexcl", "ogf-coefficient") + ("compositions",) * (n <= 16)
+    methods = ("stirling", "inclexcl", "ogf-coefficient", "compositions")
     values = {count_genmat(m, n, binary, method) for method in methods}
     assert len(values) == 1
+
+
+def test_the_compositions_count_walks_only_compositions_of_half_the_size(monkeypatch):
+    """The split sum equals the sum over every composition of n, yet
+    walks no composition of a size above n // 2."""
+    real = identities.compositions
+
+    def every_composition(m, n, binary):
+        fills = [(binomial if binary else multichoose)(m, p) for p in range(n + 1)]
+        return sum(math.prod(map(fills.__getitem__, comp)) for comp in real(n))
+
+    sizes = []
+    monkeypatch.setattr(identities, "compositions", lambda j: sizes.append(j) or real(j))
+    for m, n, binary in itertools.product(range(5), range(15), (False, True)):
+        sizes.clear()
+        assert count_genmat(m, n, binary, "compositions") == every_composition(m, n, binary)
+        assert max(sizes, default=0) <= n // 2
 
 
 @pytest.mark.parametrize("binary, coef, expected", [(False, "multichoose", 101), (True, "binomial", 44)])
