@@ -367,34 +367,43 @@ def double_sum_mat(
     one.  Returns (value, partial, tail) where value is the unique
     integer in [partial, partial + tail], or None when none lies there.
 
-    Tail certificate: coef(rs, n) <= (r+n)^n (s+n)^n / n!, so the mass
-    outside the [0, M]^2 square is at most
-    2 * T * (S + T) / (4 n!) with f(r) = (r+n)^n / 2^r,
-    S = sum_{r<=M} f(r) and T a geometric bound on sum_{r>M} f(r).
+    Tail certificate: coef(x, n) <= (x+n-1)^n / n! (x^n / n! when
+    binary), and with c = ceil(sqrt(n-1)) (c = 0 when binary or n <= 1)
+    (r+c)(s+c) >= rs + c^2 >= rs + n - 1, so
+    coef(rs, n) <= (r+c)^n (s+c)^n / n!.  The mass outside the [0, M]^2
+    square is then at most 2 * T * (S + T) / (4 n!) with
+    f(r) = (r+c)^n / 2^r, S = sum_{r<=M} f(r) and T a geometric bound
+    on sum_{r>M} f(r).  Each distinct product rs is evaluated once.
     """
+    c = 0 if binary or n <= 1 else math.isqrt(n - 2) + 1
 
     def tail_at(trunc: int) -> Fraction | None:
         # with a = f(trunc+1) 2^(trunc+1), each ratio f(r+1)/f(r) for r > trunc is at most
-        # rho = (trunc+n+2)^n / 2a, below 1 iff d = 2a - (trunc+n+2)^n > 0; then
+        # rho = (trunc+c+2)^n / 2a, below 1 iff d = 2a - (trunc+c+2)^n > 0; then
         # T = a^2 / (2^trunc d) and S = head / 2^trunc, so the tail 2T(S+T) / (4 n!) is one fraction
-        a = (trunc + n + 1) ** n
-        d = 2 * a - (trunc + n + 2) ** n
+        a = (trunc + c + 1) ** n
+        d = 2 * a - (trunc + c + 2) ** n
         if d <= 0:
             return None
-        head = sum((r + n) ** n << (trunc - r) for r in range(trunc + 1))
+        head = sum((r + c) ** n << (trunc - r) for r in range(trunc + 1))
         return Fraction(a * a * (head * d + a * a), (d * d * math.factorial(n)) << (2 * trunc + 1))
 
     trunc, tail = _certify(f"double sum for n={n}", tail_at, 2 * n + 8, tail_bound)
     coef = binomial if binary else multichoose
     # the summand is symmetric in r and s: each r < s stands for two terms.
-    # Row r is 2^(trunc-r) (coef(r^2) 2^(trunc-r) + 2 sum_{s>r} coef(rs) 2^(trunc-s)),
-    # its inner sum by Horner's rule over s
-    num = 0
+    # With h = sum_{s>=r} coef(rs) 2^(trunc-s), by Horner's rule over s, row r is
+    # 2^(trunc-r) (coef(r^2) 2^(trunc-r) + 2 sum_{s>r} coef(rs) 2^(trunc-s))
+    # = 2^(trunc-r) (2h - coef(r^2) 2^(trunc-r)).  coefs[x] holds coef(x, n) once
+    # evaluated; rows past r read no product below (r+1)^2, so row r clears those
+    num, coefs = 0, [None] * (trunc * trunc + 1)
     for r in range(trunc + 1):
-        diagonal, row = coef(r * r, n), 0
-        for s in range(r + 1, trunc + 1):
-            row = (row << 1) + coef(r * s, n)
-        num += ((diagonal << (trunc - r)) + (row << 1)) << (trunc - r)
+        row = 0
+        for s in range(r, trunc + 1):
+            if (v := coefs[x := r * s]) is None:
+                v = coefs[x] = coef(x, n)
+            row = (row << 1) + v
+        num += ((row << 1) - (coefs[r * r] << (trunc - r))) << (trunc - r)
+        coefs[r * r : (r + 1) ** 2] = [None] * (2 * r + 1)
     partial = Fraction(num, 1 << (2 * trunc + 2))
     return _integer_within(partial, tail), partial, tail
 

@@ -290,16 +290,23 @@ def test_double_sum_values():
             assert tail < Fraction(1, 2)
 
 
+def _shift(n, binary):
+    """The least c with c^2 >= n - 1, or 0 when binary: then
+    coef(rs, n) <= ((r+c)(s+c))^n / n!."""
+    return 0 if binary else next(c for c in itertools.count() if c * c >= n - 1)
+
+
 def _double_sum_by_fractions(n, binary):
     """The double sum over the full square, with a Fraction per tail term
     and 2 ** k weights: the model the shifted, halved sum must match."""
+    c = _shift(n, binary)
 
     def tail_at(trunc):
-        rho = Fraction((trunc + n + 2) ** n, 2 * (trunc + n + 1) ** n)
+        rho = Fraction((trunc + c + 2) ** n, 2 * (trunc + c + 1) ** n)
         if rho >= 1:
             return None
-        tail_f = Fraction((trunc + 1 + n) ** n, 2 ** (trunc + 1)) / (1 - rho)
-        s_all = sum(Fraction((r + n) ** n, 2**r) for r in range(trunc + 1)) + tail_f
+        tail_f = Fraction((trunc + 1 + c) ** n, 2 ** (trunc + 1)) / (1 - rho)
+        s_all = sum(Fraction((r + c) ** n, 2**r) for r in range(trunc + 1)) + tail_f
         return 2 * tail_f * s_all / (4 * math.factorial(n))
 
     trunc, tail = identities._certify("model", tail_at, 2 * n + 8, Fraction(1, 2))
@@ -318,6 +325,56 @@ def test_double_sum_matches_the_fraction_model(binary):
     # every size formula-queries sends to `count mat --method double-sum`
     for n in range(21):
         assert double_sum_mat(n, binary=binary) == _double_sum_by_fractions(n, binary)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_the_double_sum_certificate_bounds_each_coefficient(binary):
+    coef = binomial if binary else multichoose
+    for n in range(21):
+        c, nf = _shift(n, binary), math.factorial(n)
+        for r in range(41):
+            for s in range(41):
+                assert coef(r * s, n) * nf <= ((r + c) * (s + c)) ** n
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_the_double_sum_tail_covers_the_terms_past_the_square(binary, monkeypatch):
+    """For n <= 6 the certified tail exceeds the exact mass of the terms
+    in [0, 3 trunc]^2 outside [0, trunc]^2."""
+    truncs = []
+    real = identities._certify
+
+    def recording(*args):
+        trunc, tail = real(*args)
+        truncs.append(trunc)
+        return trunc, tail
+
+    monkeypatch.setattr(identities, "_certify", recording)
+    coef = binomial if binary else multichoose
+    for n in range(7):
+        _, _, tail = double_sum_mat(n, binary=binary)
+        trunc = truncs.pop()
+        wide = 3 * trunc
+        outside = sum(
+            coef(r * s, n) << (2 * wide - r - s)
+            for r in range(wide + 1)
+            for s in range(wide + 1)
+            if max(r, s) > trunc
+        )
+        assert Fraction(outside, 1 << (2 * wide + 2)) < tail
+
+
+def test_the_double_sum_evaluates_each_coefficient_once(monkeypatch):
+    """No (x, n) reaches binomial or multichoose twice in one call."""
+    seen = []
+    for name in ("binomial", "multichoose"):
+        real = getattr(identities, name)
+        monkeypatch.setattr(identities, name, lambda x, n, real=real: seen.append((x, n)) or real(x, n))
+    for n in range(21):
+        for binary in (False, True):
+            seen.clear()
+            double_sum_mat(n, binary=binary)
+            assert seen and len(set(seen)) == len(seen)
 
 
 def test_double_sum_rejects_bad_bound():
