@@ -30,9 +30,7 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
-from importlib import resources
 from itertools import chain, islice
-from pathlib import Path
 from typing import Iterator
 
 from . import burge, identities, lomat, words
@@ -536,6 +534,9 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
 
 
 def _bfile_text(args) -> str:
+    from importlib import resources  # only oeis pays for these imports
+    from pathlib import Path
+
     digits = args.sequence[1:]
     if args.b_file:
         return Path(args.b_file).read_text()

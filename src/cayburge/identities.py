@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -412,7 +411,6 @@ def double_sum_mat(
 # structured check results
 
 
-@dataclass
 class CheckResult:
     """Outcome of one named cross-check.
 
@@ -421,11 +419,20 @@ class CheckResult:
     there, or for an error the exception the check raised.
     """
 
-    name: str
-    params: dict
-    status: str
-    witness: dict | None = None
-    detail: str = ""
+    def __init__(self, name: str, params: dict, status: str, witness: dict | None = None, detail: str = ""):
+        self.name = name
+        self.params = params
+        self.status = status
+        self.witness = witness
+        self.detail = detail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return "CheckResult(" + ", ".join(f"{k}={v!r}" for k, v in vars(self).items()) + ")"
 
     @property
     def ok(self) -> bool:
@@ -624,20 +631,22 @@ def check_atom_ballot(max_n: int, max_m: int) -> list[CheckResult]:
 
 
 def _involution_check(
-    prefix: str, params: dict, family, inv, sign, fixed_when, formula
+    prefix: str, params: dict, family, member, inv, sign, fixed_when, formula
 ) -> list[CheckResult]:
     """The involution principle (Garsia and Milne, 1981), walked once.
 
     Over family(m, n), for m <= max_m and n <= max_n, sum sign(x) and
     match each member x of sign +1 with inv(x): a fixed x must satisfy
     fixed_when and is counted; a moved x must go to a member of sign -1
-    that inv sends back to x.  Members of sign -1 are summed, not mapped.
-    inv(inv(x)) = x makes the matching one-to-one; taking as given that
-    inv maps family(m, n) into itself, signed = fixed - (members of sign
-    -1 left unmatched).  formula counts the fixed_when set on its own,
-    so signed == fixed == formula proves inv a sign-reversing involution
-    of the family fixing exactly that set.  A broken obligation fails
-    <prefix>-involution, or else <prefix>-signed-sum.
+    that inv sends back to x.  member(y, m, n) says that y is in
+    family(m, n), from the family's definition rather than its
+    generator.  Members of sign -1 are summed, not mapped.  inv(inv(x))
+    = x makes the matching one-to-one, into family(m, n), so signed =
+    fixed - (members of sign -1 left unmatched).  formula counts the
+    fixed_when set on its own, so signed == fixed == formula proves inv
+    a sign-reversing involution of the family fixing exactly that set.
+    A broken obligation fails <prefix>-involution, or else
+    <prefix>-signed-sum.
     """
     failures = []
 
@@ -654,6 +663,8 @@ def _involution_check(
                     fixed += 1
                 else:
                     failures.append({"m": m, "n": n, "bad": "fixed-point set"})
+            elif not member(image, m, n):
+                failures.append({"m": m, "n": n, "bad": "image outside the family"})
             elif inv(image) != x or sign(image) != -1:
                 failures.append({"m": m, "n": n, "bad": "involution"})
         return {"signed": signed, "fixed": fixed, "formula": formula(m, n)}
@@ -666,12 +677,34 @@ def _involution_check(
     ]
 
 
+def _is_signed_structure(sm, m: int, n: int) -> bool:
+    """m rows, the word 1..n, at most n columns and one sign per column:
+    +1 on each nonempty column, +1 or -1 on each empty one."""
+    x, signs = sm.matrix, sm.signs
+    return (
+        x.rows == m
+        and x.word == tuple(range(1, n + 1))
+        and len(signs) == x.cols <= n
+        and all(s == 1 or (s == -1 and not any(column)) for s, column in zip(signs, zip(*x.grid)))
+    )
+
+
+def _is_structure(x, m: int, n: int) -> bool:
+    """m rows, no empty column, and a word that is a permutation of 1..n."""
+    return (
+        x.rows == m
+        and all(map(any, zip(*x.grid)))
+        and sorted(x.word) == list(range(1, n + 1))
+    )
+
+
 def check_gamma(max_n: int, max_m: int) -> list[CheckResult]:
     """Column-sign involution, fixing the all-+1 structures with no empty column."""
     return _involution_check(
         "gamma",
         {"max_n": max_n, "max_m": max_m},
         lomat.enumerate_signed,
+        _is_signed_structure,
         lomat.gamma,
         lambda sm: sm.xi,
         lambda sm: lomat.leftmost_empty_column(sm.matrix) == 0 and -1 not in sm.signs,
@@ -702,6 +735,7 @@ def check_tau(max_n: int, max_m: int) -> list[CheckResult]:
         "tau",
         {"max_n": max_n, "max_m": max_m},
         lomat.enumerate_lomat,
+        _is_structure,
         lomat.tau,
         lomat.xi_atoms,
         lambda x: all(length <= 1 for row in x.grid for length in row),

@@ -53,6 +53,29 @@ class NeedsUnitConstantTerm(SeriesError):
     """Reciprocal and rational expansion need a nonzero constant term."""
 
 
+# object.__setattr__ under one global name: the subclasses of _Frozen set
+# their fields with it, a lookup cheaper than object.__setattr__ per field
+_setattr = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable values: only a class's own code sets a field,
+    with ``_setattr``; any other assignment or deletion raises
+    AttributeError.  repr lists the ``__slots__`` fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # number tables
 #
@@ -215,7 +238,7 @@ def weak_compositions(totals: tuple[int, ...], parts: int) -> Iterator[tuple[int
 # dense univariate polynomials over Z
 
 
-class IntPoly:
+class IntPoly(_Frozen):
     """Dense univariate polynomial with integer coefficients.
 
     Coefficients are stored ascending by degree with trailing zeros
@@ -229,10 +252,7 @@ class IntPoly:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
+        _setattr(self, "coeffs", tuple(cs))
 
     @property
     def degree(self) -> int:
@@ -316,7 +336,7 @@ class IntPoly:
 # sparse bivariate polynomials over Z
 
 
-class BiPoly:
+class BiPoly(_Frozen):
     """Sparse bivariate polynomial in s and t with integer coefficients.
 
     Terms are held in a dict keyed by (deg_s, deg_t); zero coefficients
@@ -326,10 +346,7 @@ class BiPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int]):
-        object.__setattr__(self, "terms", {key: c for key, c in terms.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
+        _setattr(self, "terms", {key: c for key, c in terms.items() if c})
 
     def items(self) -> list[tuple[tuple[int, int], int]]:
         """Terms sorted by (deg_s, deg_t); the canonical external order."""
@@ -364,7 +381,7 @@ class BiPoly:
 # truncated power series over Q, on one common denominator
 
 
-class RatSeries:
+class RatSeries(_Frozen):
     """Power series with rational coefficients, truncated at an explicit order.
 
     A series of order N carries exact coefficients of x^0 .. x^N and
@@ -398,15 +415,12 @@ class RatSeries:
 
     def _store(self, nums: list[int], den: int, order: int) -> None:
         g = math.gcd(den, *nums)
-        object.__setattr__(self, "order", order)
+        _setattr(self, "order", order)
         # from a list: tuple(generator) resizes its result, and the resized
         # tuples pile up on the interpreter's tuple free lists
-        object.__setattr__(self, "_nums", tuple(nums if g == 1 else [c // g for c in nums]))
-        object.__setattr__(self, "_den", den // g)
-        object.__setattr__(self, "_powers", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatSeries is immutable")
+        _setattr(self, "_nums", tuple(nums if g == 1 else [c // g for c in nums]))
+        _setattr(self, "_den", den // g)
+        _setattr(self, "_powers", None)
 
     # -- constructors ------------------------------------------------------
 
@@ -526,7 +540,7 @@ class RatSeries:
         powers = inner._powers or [inner]
         while len(powers) < order:
             powers.append(powers[-1] * inner)
-        object.__setattr__(inner, "_powers", powers)
+        _setattr(inner, "_powers", powers)
         cs = self._nums
         acc, den = [cs[0]] + [0] * order, 1
         for k, power in zip(range(1, order + 1), powers):

@@ -33,12 +33,11 @@ off their fixed-point sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import attrgetter, itemgetter
 from typing import Iterator, Sequence
 
-from .kernel import compositions, weak_compositions
+from .kernel import _Frozen, _setattr, compositions, weak_compositions
 from .words import Word, enumerate_ballots, enumerate_linear_orders
 
 __all__ = [
@@ -294,8 +293,7 @@ def from_length_grid(grid: Sequence[Sequence[int]]) -> LinOrderMatrix:
 # atom ballots
 
 
-@dataclass(frozen=True, slots=True)
-class AtomBallot:
+class AtomBallot(_Frozen):
     """Ballot of atoms (blocks = former columns) plus a row assignment.
 
     Exactly one of ``colors`` (atom -> row index, kept as sorted pairs)
@@ -303,13 +301,22 @@ class AtomBallot:
     present.
     """
 
-    columns: tuple[frozenset[Word], ...]
-    colors: tuple[tuple[Word, int], ...] | None = None
-    rows: tuple[frozenset[Word], ...] | None = None
+    __slots__ = ("columns", "colors", "rows")
 
-    def __post_init__(self):
-        if (self.colors is None) == (self.rows is None):
+    def __init__(self, columns: tuple[frozenset[Word], ...], colors=None, rows=None):
+        if (colors is None) == (rows is None):
             raise ValueError("exactly one of colors and rows must be given")
+        _setattr(self, "columns", columns)
+        _setattr(self, "colors", colors)
+        _setattr(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.columns, self.colors, self.rows) == (other.columns, other.colors, other.rows)
+
+    def __hash__(self):
+        return hash((self.columns, self.colors, self.rows))
 
     def color_of(self) -> dict[Word, int]:
         if self.colors is None:
@@ -457,15 +464,25 @@ def enumerate_lomat_direct(m: int, n: int) -> Iterator[LinOrderMatrix]:
 # signed structures
 
 
-@dataclass(frozen=True, slots=True)
-class SignedLOMatrix:
+class SignedLOMatrix(_Frozen):
     """Normalized matrix, possibly with empty columns, plus column signs.
 
     Nonempty columns must carry +1; empty columns may carry either sign.
     """
 
-    matrix: LinOrderMatrix
-    signs: tuple[int, ...]
+    __slots__ = ("matrix", "signs")
+
+    def __init__(self, matrix: LinOrderMatrix, signs: tuple[int, ...]):
+        _setattr(self, "matrix", matrix)
+        _setattr(self, "signs", signs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.matrix, self.signs) == (other.matrix, other.signs)
+
+    def __hash__(self):
+        return hash((self.matrix, self.signs))
 
     @property
     def xi(self) -> int:

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .kernel import IntPoly
+from .kernel import IntPoly, _Frozen, _setattr
 
 Word = tuple[int, ...]
 Ballot = tuple[frozenset[int], ...]
@@ -196,26 +195,32 @@ def caylerian_brute(n: int, strict: bool = False) -> IntPoly:
 # ascent-set refinements
 
 
-@dataclass(frozen=True)
-class AscentSetSpec:
+class AscentSetSpec(_Frozen):
     """A size n >= 1 together with a set of positions S inside {1..n-1}.
 
     ``delta`` is the induced composition of n: the gaps between the
     consecutive members of {0} | S | {n}.
     """
 
-    n: int
-    positions: tuple[int, ...]
+    __slots__ = ("n", "positions")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"an ascent set needs n >= 1, got {self.n}")
-        ps = tuple(sorted(set(self.positions)))
-        if ps != tuple(self.positions):
-            object.__setattr__(self, "positions", ps)
+    def __init__(self, n: int, positions: tuple[int, ...]):
+        if n < 1:
+            raise ValueError(f"an ascent set needs n >= 1, got {n}")
+        ps = tuple(sorted(set(positions)))
         for p in ps:
-            if not 1 <= p <= self.n - 1:
-                raise ValueError(f"position {p} outside 1..{self.n - 1}")
+            if not 1 <= p <= n - 1:
+                raise ValueError(f"position {p} outside 1..{n - 1}")
+        _setattr(self, "n", n)
+        _setattr(self, "positions", ps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.positions) == (other.n, other.positions)
+
+    def __hash__(self):
+        return hash((self.n, self.positions))
 
     @property
     def delta(self) -> tuple[int, ...]:

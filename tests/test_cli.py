@@ -1,7 +1,6 @@
 """Command line interface: output formats, bounds, exit codes, fixtures."""
 
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -503,6 +502,18 @@ def test_main_answers_as_a_fresh_process_on_every_call(capsys, monkeypatch):
     assert in_process == fresh * 2
 
 
+def test_importing_the_cli_loads_no_class_generation_or_path_machinery():
+    """A bare `import cayburge.cli`, with no site packages, loads none of
+    the modules that generating classes or finding a b-file would need:
+    only oeis imports the last two, on its first call."""
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import cayburge.cli; print(*sys.modules)"
+    src = str(Path(cayburge.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, src], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    unwanted = {"dataclasses", "inspect", "ast", "dis", "tokenize", "importlib.resources", "pathlib"}
+    assert "cayburge.cli" in proc.stdout.split() and unwanted.isdisjoint(proc.stdout.split())
+
+
 def test_bounds_rejected_then_overridden(capsys):
     code, _, err = run_cli(capsys, "enumerate", "cayley", "--n", "9")
     assert code == 2 and "unsafe-bounds" in err
@@ -600,14 +611,17 @@ def test_verify_pass_and_formats(capsys):
     [(suite, 3, 2) for suite in ("all", *identities.SUITES)] + [(suite, 8, 8) for suite in ("pairing", "gf", "kernel")],
 )
 def test_verify_json_is_the_dump_of_the_check_records(capsys, suite, max_n, max_m):
-    """verify --format json prints the check records exactly as
-    dataclasses.asdict copies of them would dump."""
+    """verify --format json prints the check records exactly as dicts of
+    their five fields would dump."""
     argv = ("verify", suite, "--max-n", str(max_n), "--max-m", str(max_m), "--format", "json")
     code, out, _ = run_cli(capsys, *argv)
     results = identities.run_suite(suite, max_n, max_m)
     summary = Counter(dict.fromkeys(("pass", "fail", "unconverged"), 0))
     summary.update(r.status for r in results)
-    checks = [dataclasses.asdict(r) for r in results]
+    checks = [
+        {"name": r.name, "params": r.params, "status": r.status, "witness": r.witness, "detail": r.detail}
+        for r in results
+    ]
     payload = {"suite": suite, "max_n": max_n, "max_m": max_m, "checks": checks, "summary": summary}
     assert code == 0 and out == json.dumps(payload, sort_keys=True) + "\n"
 

@@ -1,6 +1,5 @@
 """Closed-form counts, polynomial formulas, certified sums, check suites."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -768,6 +767,60 @@ def test_involution_walk_is_load_bearing(monkeypatch, owner, route, perturb, che
     assert len(results) == expected and not all(r.ok for r in results)
 
 
+def _gamma_flipping_two_nonempty_columns(real):
+    """gamma, plus a sign flip of the first two nonempty columns whenever
+    it moves a structure that has two: still an involution reversing xi
+    with the same fixed set, but those images sign a nonempty column -1."""
+
+    def gamma(sm):
+        image = real(sm)
+        nonempty = [j for j in range(sm.matrix.cols) if not sm.matrix.column_empty(j)]
+        if image == sm or len(nonempty) < 2:
+            return image
+        signs = list(image.signs)
+        for j in nonempty[:2]:
+            signs[j] = -signs[j]
+        return lomat.SignedLOMatrix(sm.matrix, tuple(signs))
+
+    return gamma
+
+
+def _tau_toggling_an_empty_last_row(real):
+    """tau, plus an empty last row added to an even number of rows or
+    dropped from an odd one: still an involution reversing xi_atoms with
+    the same fixed set, but its images of 2-row structures have 3 rows."""
+
+    def tau(x):
+        image = real(x)
+        grid = image.grid
+        if image == x or (len(grid) % 2 and any(grid[-1])):
+            return image
+        grid = grid[:-1] if len(grid) % 2 else grid + ((0,) * image.cols,)
+        return lomat.LinOrderMatrix(image.word, grid)
+
+    return tau
+
+
+@pytest.mark.parametrize(
+    "route, perturb, check, first",
+    [
+        ("gamma", _gamma_flipping_two_nonempty_columns, identities.check_gamma, {"m": 1, "n": 3}),
+        ("tau", _tau_toggling_an_empty_last_row, identities.check_tau, {"m": 2, "n": 2}),
+    ],
+    ids=["gamma-flips-two-nonempty-columns", "tau-toggles-an-empty-last-row"],
+)
+def test_involution_images_stay_in_their_family(monkeypatch, route, perturb, check, first):
+    """An involution that reverses the sign and keeps the fixed set, but
+    sends members outside the family, fails <route>-involution at the
+    first such image, on the membership test alone: the signed sum
+    still passes."""
+    monkeypatch.setattr(lomat, route, perturb(getattr(lomat, route)))
+    involution, signed_sum = check(5, 2)
+    assert (involution.name, involution.status) == (f"{route}-involution", "fail")
+    assert involution.witness == {**first, "bad": "image outside the family"}
+    assert (signed_sum.name, signed_sum.status) == (f"{route}-signed-sum", "pass")
+
+
 def _dropping_an_atom_of_a_two_atom_block(real):
     def to_atom_ballot(m, row_mode="color"):
         ballot = real(m, row_mode)
@@ -775,7 +828,7 @@ def _dropping_an_atom_of_a_two_atom_block(real):
         for j, block in enumerate(columns):
             if len(block) == 2:
                 kept = frozenset([min(block)])
-                return dataclasses.replace(ballot, columns=columns[:j] + (kept,) + columns[j + 1 :])
+                return lomat.AtomBallot(columns[:j] + (kept,) + columns[j + 1 :], ballot.colors, ballot.rows)
         return ballot
 
     return to_atom_ballot
