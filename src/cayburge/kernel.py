@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -61,9 +62,26 @@ _setattr = object.__setattr__
 class _Frozen:
     """Base of the immutable values: only a class's own code sets a field,
     with ``_setattr``; any other assignment or deletion raises
-    AttributeError.  repr lists the ``__slots__`` fields."""
+    AttributeError.  repr lists the ``__slots__`` fields.
+
+    Two values are equal when they are of one class and have equal keys,
+    and a value hashes as its key.  A class's ``_key`` reads its
+    ``__slots__`` fields, unless the class names its own."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "_key" not in cls.__dict__:
+            cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self.__class__._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self.__class__._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{self.__class__.__name__} is immutable")
@@ -126,16 +144,14 @@ def multichoose(m: int, n: int) -> int:
     return math.comb(m + n - 1, n)
 
 
-def stirling1(n: int, k: int | None = None) -> int | list[int]:
-    """Unsigned Stirling number of the first kind: permutations of [n] with
-    k cycles; with k omitted, the whole row c(n, 0..n), as a new list."""
-    if n < 0 or (k is not None and k < 0):
-        raise ValueError(f"stirling1 needs nonnegative arguments, got ({n}, {k})")
+def stirling1(n: int) -> list[int]:
+    """Row n of the unsigned Stirling numbers of the first kind, as a new
+    list: entry k counts the permutations of [n] with k cycles."""
+    if n < 0:
+        raise ValueError(f"stirling1 needs a nonnegative argument, got {n}")
     if n >= len(_S1):
         _grow_stirling(n)
-    if k is None:
-        return _S1[n][:]
-    return _S1[n][k] if k <= n else 0
+    return _S1[n][:]
 
 
 def stirling2(n: int, k: int) -> int:
@@ -265,12 +281,6 @@ class IntPoly(_Frozen):
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __add__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -348,15 +358,12 @@ class BiPoly(_Frozen):
     def __init__(self, terms: Mapping[tuple[int, int], int]):
         _setattr(self, "terms", {key: c for key, c in terms.items() if c})
 
+    def _key(self):  # a dict is unhashable; its item set is not
+        return frozenset(self.terms.items())
+
     def items(self) -> list[tuple[tuple[int, int], int]]:
         """Terms sorted by (deg_s, deg_t); the canonical external order."""
         return sorted(self.terms.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     def divide_exact(self, den: int) -> "BiPoly":
         return BiPoly({key: exact_div(c, den) for key, c in self.terms.items()})
@@ -393,10 +400,11 @@ class RatSeries(_Frozen):
     and every numerator is 1).  That form is unique, so equality and
     hashing compare integers, and each operation reduces once instead of
     once per coefficient.  ``coeffs`` reads them back as Fractions.
-    ``compose`` keeps an inner series' powers in ``_powers``, which equality ignores.
+    ``compose`` keeps an inner series' powers in ``_powers``, which the key leaves out.
     """
 
     __slots__ = ("order", "_nums", "_den", "_powers")
+    _key = attrgetter("order", "_den", "_nums")
 
     def __init__(self, coeffs: Iterable, order: int):
         cs = [Fraction(c) for c in coeffs]
@@ -485,17 +493,6 @@ class RatSeries(_Frozen):
                     f"coefficient of x^{n} is non-integral: {Fraction(c, self._den)}"
                 )
         return list(self._nums)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatSeries)
-            and self.order == other.order
-            and self._den == other._den
-            and self._nums == other._nums
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.order, self._den, self._nums))
 
     # -- arithmetic --------------------------------------------------------
 

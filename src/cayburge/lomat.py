@@ -310,14 +310,6 @@ class AtomBallot(_Frozen):
         _setattr(self, "colors", colors)
         _setattr(self, "rows", rows)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.columns, self.colors, self.rows) == (other.columns, other.colors, other.rows)
-
-    def __hash__(self):
-        return hash((self.columns, self.colors, self.rows))
-
     def color_of(self) -> dict[Word, int]:
         if self.colors is None:
             raise ValueError("this atom ballot carries a row ballot, not colors")
@@ -417,11 +409,7 @@ def enumerate_genmat(m: int, n: int, binary: bool = False) -> Iterator[LinOrderM
     for colsums in compositions(n):
         k = len(colsums)
         for c in set(colsums) - pools.keys():
-            pools[c] = (
-                [tuple(int(i in ones) for i in range(m)) for ones in itertools.combinations(range(m), c)]
-                if binary
-                else list(weak_compositions((c,), m))
-            )
+            pools[c] = [col for col in weak_compositions((c,), m) if not binary or max(col, default=0) < 2]
         if not all(pools[c] for c in colsums):
             continue
         for columns in itertools.product(*(pools[c] for c in colsums)):
@@ -475,14 +463,6 @@ class SignedLOMatrix(_Frozen):
     def __init__(self, matrix: LinOrderMatrix, signs: tuple[int, ...]):
         _setattr(self, "matrix", matrix)
         _setattr(self, "signs", signs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.matrix, self.signs) == (other.matrix, other.signs)
-
-    def __hash__(self):
-        return hash((self.matrix, self.signs))
 
     @property
     def xi(self) -> int:

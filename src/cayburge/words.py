@@ -214,14 +214,6 @@ class AscentSetSpec(_Frozen):
         _setattr(self, "n", n)
         _setattr(self, "positions", ps)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.positions) == (other.n, other.positions)
-
-    def __hash__(self):
-        return hash((self.n, self.positions))
-
     @property
     def delta(self) -> tuple[int, ...]:
         fenceposts = (0,) + self.positions + (self.n,)

@@ -16,6 +16,8 @@ from cayburge.kernel import (
     NeedsZeroConstantTerm,
     RatSeries,
     SeriesError,
+    _Frozen,
+    _setattr,
     ballot_block_poly,
     binomial,
     compositions,
@@ -26,6 +28,8 @@ from cayburge.kernel import (
     stirling2,
     weak_compositions,
 )
+from cayburge.lomat import AtomBallot, SignedLOMatrix, from_length_grid
+from cayburge.words import AscentSetSpec
 
 # Anchors computed by the block recurrence f(n) = sum_j C(n,j) f(n-j),
 # independently of the Stirling route used in the package.
@@ -80,16 +84,17 @@ def test_stirling2_against_brute_partitions():
 def test_stirling1_against_cycle_counts():
     for n in range(7):
         perms = list(itertools.permutations(range(1, n + 1)))
+        row = stirling1(n) + [0]
         for k in range(n + 2):
-            assert stirling1(n, k) == sum(1 for p in perms if cycle_count(p) == k)
+            assert row[k] == sum(1 for p in perms if cycle_count(p) == k)
 
 
 def test_stirling1_without_k_reads_the_row():
     for n in range(9):
         row = stirling1(n)
-        assert row == [stirling1(n, k) for k in range(n + 1)]
+        assert row == [stirling1(n)[k] for k in range(n + 1)]
         row[-1] += 1  # a copy: the table is not changed through it
-        assert stirling1(n, n) == 1
+        assert stirling1(n)[n] == 1
     with pytest.raises(ValueError):
         stirling1(-1)
 
@@ -102,7 +107,7 @@ def test_fubini_equals_stirling2_row():
 def test_tables_grow_on_demand():
     # rows past any earlier request are built when first asked for
     assert stirling2(70, 1) == 1
-    assert stirling1(70, 70) == 1
+    assert stirling1(70)[70] == 1
 
 
 def test_binomial_matches_comb_and_rejects_negatives():
@@ -407,7 +412,7 @@ def test_ratseries_matches_the_list_model(a, order_a, b, order_b, q, k):
     for order in (max(min(order_a, order_b) - 1, 0), order_b):
         _agrees(RatSeries(a[::-1], order=order).compose(inner), _model_compose(_model(a[::-1], order), m_inner))
     fresh = RatSeries([0, *b], order=order_b)
-    assert inner == fresh and hash(inner) == hash(fresh)
+    assert inner._powers and inner == fresh and hash(inner) == hash(fresh)  # powers kept, not compared
     with pytest.raises(AttributeError):
         inner._powers = None
     if mb[0]:
@@ -447,3 +452,62 @@ def test_ratseries_has_one_form_per_series():
     assert hash(zero) == hash(half * 0)
     with pytest.raises(AttributeError):
         half.coeffs = ()
+
+
+def _frozen_classes(cls=_Frozen):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _frozen_classes(sub)
+
+
+def _with(value, **fields):
+    """A copy of value, past its constructor, with the given fields replaced."""
+    out = object.__new__(value.__class__)
+    for name in value.__slots__:
+        _setattr(out, name, fields.get(name, getattr(value, name)))
+    return out
+
+
+# per frozen class: a sample (built afresh on each call), another value for
+# each of its fields, and the fields its key leaves out
+FROZEN_SAMPLES = {
+    IntPoly: (lambda: IntPoly([1, 2]), {"coeffs": (1, 3)}, ()),
+    BiPoly: (lambda: BiPoly({(0, 1): 2, (1, 0): 3}), {"terms": {(0, 1): 2}}, ()),
+    RatSeries: (
+        lambda: RatSeries([1, Fraction(1, 2)], order=2),
+        {"order": 3, "_den": 4, "_nums": (2, 1, 1), "_powers": [RatSeries([0, 1], order=2)]},
+        ("_powers",),
+    ),
+    AscentSetSpec: (lambda: AscentSetSpec(4, (1, 3)), {"n": 5, "positions": (1, 2)}, ()),
+    AtomBallot: (
+        lambda: AtomBallot((frozenset({(1,), (2,)}),), colors=(((1,), 0), ((2,), 1))),
+        {"columns": (frozenset({(1,)}), frozenset({(2,)})), "colors": (((1,), 1), ((2,), 0)), "rows": ()},
+        (),
+    ),
+    SignedLOMatrix: (
+        lambda: SignedLOMatrix(from_length_grid(((1, 0),)), (1, -1)),
+        {"matrix": from_length_grid(((0, 1),)), "signs": (1, 1)},
+        (),
+    ),
+}
+
+
+def test_every_frozen_class_compares_and_hashes_by_its_key():
+    assert set(_frozen_classes()) == set(FROZEN_SAMPLES)  # a new class must join the table
+    for cls, (make, others, left_out) in FROZEN_SAMPLES.items():
+        value, twin = make(), make()
+        assert set(others) == set(cls.__slots__)
+        assert value == twin and hash(value) == hash(twin)
+        for name, other in others.items():
+            changed = _with(value, **{name: other})
+            if name in left_out:
+                assert changed == value and hash(changed) == hash(value)
+            else:
+                assert changed != value and value != changed
+        fields = tuple(getattr(value, name) for name in cls.__slots__)
+        assert value != fields and fields != value and value != cls._key(value)
+        assert value.__eq__(object()) is NotImplemented
+    base = from_length_grid(((1, 0),))
+    assert hash(SignedLOMatrix(base, (1, -1))) == hash((base, (1, -1)))
+    assert hash(IntPoly([1, 2])) == hash((1, 2))
+
