@@ -62,16 +62,6 @@ def _render_word(w: tuple[int, ...]) -> str:
     return " ".join(map(str, w))
 
 
-def _render_lomat(m) -> str:
-    """The rows of m; "." marks an empty entry."""
-    word, height = m.word, m.rows
-    if max(word, default=0) <= 9:  # each entry is a slice of the word rendered once
-        cells = [e or "." for e in lomat._cells(m, bytes(word).translate(_DIGITS).decode())]
-    else:  # letters of two digits or more are space-separated within an entry
-        cells = [_render_word(e) if e else "." for e in lomat._cells(m, word)]
-    return "[" + "; ".join([" ".join(cells[i::height]) for i in range(height)]) + "]"
-
-
 # The text renderers.  Each takes one stream of objects and yields its
 # text lines, one or more to a chunk joined by newlines, rendering each
 # part that repeats in the stream once; what they remember lives as long
@@ -123,19 +113,43 @@ def _mat_text(mats) -> Iterator[str]:
         yield "[" + "; ".join(map(row, mat)) + "]"
 
 
+def _lomat_renderer():
+    """A renderer of structures for one stream: their rows, "." marking
+    an empty entry.  It draws each column once, keyed by its letters and
+    entry lengths, so that it holds for any structure, normalized or not."""
+
+    @functools.cache
+    def column(letters, lengths):
+        cells, end = [], 0
+        for k in lengths:
+            cells.append(_render_word(letters[end : end + k]) if k else ".")
+            end += k
+        return tuple(cells)
+
+    def render(m) -> str:
+        word, start, columns = m.word, 0, []
+        for lengths in zip(*m.grid):
+            end = start + sum(lengths)
+            columns.append(column(word[start:end], lengths))
+            start = end
+        return "[" + "; ".join(map(" ".join, zip(*columns) if columns else [()] * m.rows)) + "]"
+
+    return render
+
+
 def _genmat_text(structures) -> Iterator[str]:
-    return map(_render_lomat, structures)
+    return map(_lomat_renderer(), structures)
 
 
 def _signed_text(structures) -> Iterator[str]:
     signs_text = functools.cache(lambda signs: "".join(["+" if s == 1 else "-" for s in signs]) or "()")
-    base = None
+    render, base = _lomat_renderer(), None
     for sm in structures:
         # a base is rendered once for all its sign vectors; holding it
         # keeps its id from being reused by a later base
         if sm.matrix is not base:
             base = sm.matrix
-            text = _render_lomat(base)
+            text = render(base)
         yield f"signs={signs_text(sm.signs)} {text}"
 
 

@@ -407,14 +407,12 @@ def enumerate_genmat(m: int, n: int, binary: bool = False) -> Iterator[LinOrderM
         raise ValueError("enumerate_genmat needs m, n >= 0")
     pools: dict[int, list[tuple[int, ...]]] = {}  # columns by column sum, built once per call
     for colsums in compositions(n):
-        k = len(colsums)
         for c in set(colsums) - pools.keys():
             pools[c] = [col for col in weak_compositions((c,), m) if not binary or max(col, default=0) < 2]
         if not all(pools[c] for c in colsums):
             continue
         for columns in itertools.product(*(pools[c] for c in colsums)):
-            grid = [[columns[j][i] for j in range(k)] for i in range(m)]
-            yield from_length_grid(grid)
+            yield from_length_grid(tuple(zip(*columns)) or ((),) * m)
 
 
 def enumerate_lomat(m: int, n: int) -> Iterator[LinOrderMatrix]:

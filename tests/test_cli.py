@@ -315,6 +315,11 @@ def _burge_with_wide_letters():
     return [burge.BurgeWord(u, u[::-1]), burge.BurgeWord(u, (1,) * 11), burge.BurgeWord((1, 1), (2, 1))]
 
 
+def _act_images():
+    base = lomat.from_length_grid(((2, 0, 1), (1, 1, 0)))
+    return [lomat.act(w, base) for w in words.enumerate_linear_orders(5)]
+
+
 EDGE_STREAMS = {
     "cayley-n0": ("cayley", lambda: list(words.enumerate_cayley(0))),
     "cayley-empty-word-in-a-batch": ("cayley", lambda: [(1,), (1, 2), (), (2, 1)]),
@@ -329,6 +334,9 @@ EDGE_STREAMS = {
     "mat-n4": ("mat", lambda: list(burge.enumerate_mat(4))),
     "genmat-rows2-size3": ("genmat", lambda: list(lomat.enumerate_genmat(2, 3))),
     "genmat-rows1-size10": ("genmat", lambda: list(lomat.enumerate_genmat(1, 10))),
+    # equal column lengths at equal offsets, holding different letters
+    "genmat-act-images": ("genmat", _act_images),
+    "genmat-letters-to-11": ("genmat", lambda: [lomat.from_length_grid(((2, 3), (4, 2)))]),
     "signed-rows2-size3": ("signed", lambda: list(lomat.enumerate_signed(2, 3))),
     "signed-letters-to-10-empty-columns": ("signed", _signed_with_wide_letters),
 }
@@ -585,11 +593,32 @@ def test_signed_bases_are_rendered_once(capsys, monkeypatch):
     """Each signed base is rendered once for all its sign vectors,
     however many lines print it."""
     calls = []
-    real = cli._render_lomat
-    monkeypatch.setattr(cli, "_render_lomat", lambda m: calls.append(m) or real(m))
+    build = cli._lomat_renderer
+
+    def counted():
+        render = build()
+        return lambda m: calls.append(m) or render(m)
+
+    monkeypatch.setattr(cli, "_lomat_renderer", counted)
     code, out, _ = run_cli(capsys, "enumerate", "signed", "--rows", "2", "--size", "3")
     assert code == 0 and len(out.splitlines()) == 160
     assert len(calls) == 80 and len({(m.word, m.grid) for m in calls}) == 80
+
+
+def test_genmat_columns_are_drawn_once_per_stream(capsys, monkeypatch):
+    """Each distinct column (its letters and entry lengths) of a genmat
+    stream has its entries drawn once, and again in the next stream."""
+    columns = set()
+    for m in lomat.enumerate_genmat(3, 4):
+        for column in zip(*m.entries):
+            columns.add((sum(column, ()), tuple(map(len, column))))
+    entries = sum(k > 0 for _, lengths in columns for k in lengths)
+    calls = []
+    real = cli._render_word
+    monkeypatch.setattr(cli, "_render_word", lambda w: calls.append(w) or real(w))
+    for stream in (1, 2):
+        code, _, _ = run_cli(capsys, "enumerate", "genmat", "--rows", "3", "--size", "4")
+        assert code == 0 and len(calls) == stream * entries
 
 
 def test_verify_pass_and_formats(capsys):
