@@ -29,7 +29,6 @@ __all__ = [
     "BurgeWord",
     "is_burge_matrix",
     "row_sums",
-    "column_sums",
     "word_to_matrix",
     "matrix_to_word",
     "enumerate_weakly_increasing",
@@ -48,22 +47,13 @@ def row_sums(mat: Matrix) -> tuple[int, ...]:
     return tuple(sum(row) for row in mat)
 
 
-def column_sums(mat: Matrix) -> tuple[int, ...]:
-    if not mat:
-        return ()
-    return tuple(sum(col) for col in zip(*mat))
-
-
 def is_burge_matrix(mat: Matrix, binary: bool = False) -> bool:
     if any(len(row) != len(mat[0]) for row in mat):
         return False
-    if any(e < 0 for row in mat for e in row):
+    if any(e < 0 or binary and e > 1 for row in mat for e in row):
         return False
-    if binary and any(e > 1 for row in mat for e in row):
-        return False
-    if mat and not mat[0]:
-        return False  # rows of length zero
-    return all(s > 0 for s in row_sums(mat)) and all(s > 0 for s in column_sums(mat))
+    # with no negative entry, a line sums to 0 only when it is all zeros
+    return all(map(any, mat)) and all(map(any, zip(*mat)))
 
 
 def word_to_matrix(bw: BurgeWord) -> Matrix:

@@ -232,7 +232,11 @@ def _tail_bound(text: str) -> Fraction:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and not at import, so that
+    importing the CLI stays cheap.  Parsing leaves it unchanged, so every
+    later `main` call in the process reuses it."""
     parser = argparse.ArgumentParser(
         prog="cayburge",
         description="Exact enumeration and verification of Cayley permutations and Burge matrices.",
@@ -611,17 +615,9 @@ def _cmd_oeis(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and not at import, so that
-    importing the CLI stays cheap.  Parsing leaves it unchanged, so every
-    later `main` call in the process reuses it."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error, or --help
         return exc.code
     return args.func(args)

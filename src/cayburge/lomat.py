@@ -9,9 +9,9 @@ column by column, top to bottom, concatenates to a permutation prod(M).
 are equivalent to integer matrices of entry lengths with no zero
 column.  Any structure factors uniquely as act(w, A) with A normalized
 and w = prod(M).  A ``LinOrderMatrix`` stores just that pair: the word
-prod(M) and the grid of entry lengths, which fixes A.  What the grid
-alone fixes (where each entry sits in the word, where tau swaps, whether
-a row is empty) is its layout, derived once per base structure; act, tau
+prod(M) and the grid of entry lengths, which fixes A.  Where each entry
+sits in the word and where tau swaps, which the grid alone fixes, is its
+layout, derived once per base structure; act, tau
 and factor_action pass their argument's layout in to the structure they
 build on the same grid, which then checks only its word length against
 it.  The nested entries are built only when something renders them.
@@ -133,7 +133,7 @@ class LinOrderMatrix:
 
     @property
     def entries(self) -> tuple[tuple[Word, ...], ...]:
-        cells, rows = _cells(self, self._word), self.rows
+        cells, rows = _cells(self), self.rows
         return tuple(tuple(cells[i::rows]) for i in range(rows))
 
     @property
@@ -144,11 +144,8 @@ class LinOrderMatrix:
     def cols(self) -> int:
         return len(self._grid[0]) if self._grid else 0
 
-    def column_empty(self, j: int) -> bool:
-        return all(not row[j] for row in self._grid)
-
     def has_empty_row(self) -> bool:
-        return not _layout(self).full_rows
+        return not all(map(any, self._grid))
 
 
 class _Layout:
@@ -161,11 +158,10 @@ class _Layout:
     word; ``long`` lists the (start, end) of the entries of length >= 2,
     in prod order, the only ones whose atoms need a scan; ``swap`` is
     the offset tau swaps at, the first long entry's start (None when
-    every entry has length <= 1); ``full_rows`` says that no row is
-    empty.
+    every entry has length <= 1).
     """
 
-    __slots__ = ("size", "cells", "long", "swap", "full_rows")
+    __slots__ = ("size", "cells", "long", "swap")
 
     def __init__(self, grid: tuple[tuple[int, ...], ...]):
         height, pos, cells, long = len(grid), 0, [], []
@@ -179,7 +175,6 @@ class _Layout:
         self.cells = cells
         self.long = long
         self.swap = long[0][0] if long else None
-        self.full_rows = all(map(any, grid))
 
 
 def _layout(m: LinOrderMatrix) -> _Layout:
@@ -190,12 +185,12 @@ def _layout(m: LinOrderMatrix) -> _Layout:
     return m._layout
 
 
-def _cells(m: LinOrderMatrix, seq: Sequence) -> list[Sequence]:
-    """The entries in prod order, cut from seq: m.word, or any sequence
-    holding one item per letter of it; entry (i, j) is at index
-    j * m.rows + i."""
+def _cells(m: LinOrderMatrix) -> list[Word]:
+    """The entries in prod order, cut from m.word; entry (i, j) is at
+    index j * m.rows + i."""
     lengths = list(chain.from_iterable(zip(*m._grid)))
-    return [seq[end - k : end] for k, end in zip(lengths, accumulate(lengths))]
+    word = m._word
+    return [word[end - k : end] for k, end in zip(lengths, accumulate(lengths))]
 
 
 def prod(m: LinOrderMatrix) -> Word:
@@ -238,7 +233,7 @@ def split_atoms(word: Word) -> list[Word]:
 
 def atoms(m: LinOrderMatrix) -> list[Word]:
     """All atoms of all entries, in prod order."""
-    return [a for e in _cells(m, m._word) for a in split_atoms(e)]
+    return [a for e in _cells(m) for a in split_atoms(e)]
 
 
 def atom_count(m: LinOrderMatrix) -> int:
@@ -470,7 +465,7 @@ class SignedLOMatrix(_Frozen):
 def leftmost_empty_column(m: LinOrderMatrix) -> int:
     """1-based index of the first empty column, or 0 if every column is
     nonempty."""
-    return next((j + 1 for j in range(m.cols) if m.column_empty(j)), 0)
+    return next((j for j, column in enumerate(zip(*m._grid), 1) if not any(column)), 0)
 
 
 def gamma(sm: SignedLOMatrix) -> SignedLOMatrix:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from cayburge.burge import (
     BurgeWord,
-    column_sums,
     enumerate_burge,
     enumerate_mat,
     enumerate_weakly_increasing,
@@ -51,12 +50,27 @@ def test_is_burge_matrix():
     assert not is_burge_matrix(((0, 0), (1, 1)))  # zero row
     assert not is_burge_matrix(((2,),), binary=True)
     assert not is_burge_matrix(((-1, 2),))
+    assert not is_burge_matrix(((1, 0), (1,)))  # ragged
+    assert not is_burge_matrix(((),)) and not is_burge_matrix(((), ()))  # rows with no column
+    assert not is_burge_matrix(((1, -1), (0, 1)), binary=True)
+
+    def by_definition(mat, binary):
+        width, cap = len(mat[0]), 1 if binary else 2
+        return (
+            all(len(row) == width and all(0 <= e <= cap for e in row) for row in mat)
+            and all(sum(row) > 0 for row in mat)
+            and all(sum(row[j] for row in mat) > 0 for j in range(width))
+        )
+
+    for rows, cols in itertools.product(range(1, 4), repeat=2):
+        for mat in itertools.product(itertools.product(range(-1, 3), repeat=cols), repeat=rows):
+            for binary in (False, True):
+                assert is_burge_matrix(mat, binary) == by_definition(mat, binary), (mat, binary)
 
 
 def test_row_and_column_sums():
     m = ((1, 0, 2, 0), (0, 0, 1, 0), (0, 4, 0, 1))
     assert row_sums(m) == (3, 1, 5)
-    assert column_sums(m) == (1, 4, 3, 1)
 
 
 def test_enumerate_weakly_increasing():

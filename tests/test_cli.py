@@ -510,6 +510,21 @@ def test_main_answers_as_a_fresh_process_on_every_call(capsys, monkeypatch):
     assert in_process == fresh * 2
 
 
+def test_main_parses_through_one_parser_per_process(capsys, monkeypatch):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    parsed = []
+
+    def parse_args(argv):
+        parsed.append(argv)
+        return type(parser).parse_args(parser, argv)
+
+    monkeypatch.setattr(parser, "parse_args", parse_args)
+    calls = [["count", "genmat", "--rows", "2", "--size", "3"], ["poly", "caylerian", "--n", "3"]]
+    assert [run_cli(capsys, *argv)[0] for argv in calls] == [0, 0]
+    assert parsed == calls
+
+
 def test_importing_the_cli_loads_no_class_generation_or_path_machinery():
     """A bare `import cayburge.cli`, with no site packages, loads none of
     the modules that generating classes or finding a b-file would need:

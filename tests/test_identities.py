@@ -774,7 +774,7 @@ def _gamma_flipping_two_nonempty_columns(real):
 
     def gamma(sm):
         image = real(sm)
-        nonempty = [j for j in range(sm.matrix.cols) if not sm.matrix.column_empty(j)]
+        nonempty = [j for j, column in enumerate(zip(*sm.matrix.grid)) if any(column)]
         if image == sm or len(nonempty) < 2:
             return image
         signs = list(image.signs)
@@ -851,6 +851,28 @@ def test_atom_ballot_decoder_refusal_fails_the_round_trip(monkeypatch, capsys):
         "mode": "color",
         "error": "an atom has two rows, or a row holds an atom of no block",
     }
+
+
+def test_atom_ballot_check_round_trips_in_both_modes(monkeypatch):
+    """Every structure round-trips through its colors, and every one with
+    no empty row through its row ballot too."""
+    modes, real = Counter(), lomat.to_atom_ballot
+
+    def to_atom_ballot(structure, row_mode="color"):
+        modes[row_mode] += 1
+        return real(structure, row_mode=row_mode)
+
+    monkeypatch.setattr(lomat, "to_atom_ballot", to_atom_ballot)
+    (result,) = identities.check_atom_ballot(4, 2)
+    assert result.ok
+    structures = sum(math.factorial(n) * count_genmat(m, n) for m in range(3) for n in range(5))
+    no_empty_row = sum(
+        math.factorial(n) * (-1) ** j * math.comb(m, j) * count_genmat(m - j, n)
+        for m in range(3)
+        for n in range(5)
+        for j in range(m + 1)
+    )
+    assert modes == {"color": structures, "ballot": no_empty_row} == {"color": 2352, "ballot": 1908}
 
 
 def test_word_matrix_image_is_counted_against_the_closed_form(monkeypatch):

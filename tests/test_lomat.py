@@ -423,7 +423,7 @@ def test_signed_g_1_2_is_six_structures():
 def test_signed_validation_and_gamma():
     for s in enumerate_signed(2, 3):
         assert s.matrix.word == (1, 2, 3) and len(s.signs) == s.matrix.cols
-        assert all(sign == 1 or sign == -1 and s.matrix.column_empty(j) for j, sign in enumerate(s.signs))
+        assert all(sign == 1 or sign == -1 and not any(row[j] for row in s.matrix.grid) for j, sign in enumerate(s.signs))
         g = gamma(s)
         assert gamma(g) == s
         if leftmost_empty_column(s.matrix) == 0:
@@ -454,6 +454,8 @@ def test_leftmost_empty_column():
     assert leftmost_empty_column(with_gap) == 2
     assert leftmost_empty_column(from_length_grid(((0, 1), (0, 1)))) == 1
     assert leftmost_empty_column(LinOrderMatrix(())) == 0
+    assert leftmost_empty_column(from_length_grid(((1, 1, 0), (0, 1, 0)))) == 3
+    assert leftmost_empty_column(from_length_grid(((), ()))) == 0  # rows, but no column
 
 
 def test_signed_row_sums_equals_the_filtered_full_enumeration():
